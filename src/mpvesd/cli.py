@@ -21,7 +21,8 @@ from mpvesd import experiments as exps
 from mpvesd.config import ConfigError, LawSpec, config_hash, load_config
 from mpvesd.ensembles import EntryLaw, decompose, sample_X
 from mpvesd.experiments import ExperimentConfig, sigma_diag_from_spectrum
-from mpvesd.law import LawVector, NonConvergence, solve_law, solve_m2c
+from mpvesd.law import (LawVector, NonConvergence, QuantileOutOfRange,
+                        solve_law, solve_m2c)
 from mpvesd.resolvent import verify_resolvent_identities
 from mpvesd.vesd import kolmogorov, vesd_curve
 
@@ -346,6 +347,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except QuantileOutOfRange as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergence, FloatingPointError) as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)

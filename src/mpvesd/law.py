@@ -6,29 +6,31 @@ encoded by its Stieltjes transform ``m(z)``, the unique solution of
 
     1/m(z) = -z + (1/d) * sum_t w_t * sigma_t / (1 + m(z) sigma_t)
 
-with ``Im m >= 0`` and ``Im(z m) >= 0`` on the upper half plane.  Everything
-else here (density, support edges, CDF, quantiles, classical eigenvalue
-locations, direction-resolved laws) is derived from that solution by taking
-the imaginary part as ``eta`` tends to zero.
+with ``Im m >= 0`` and ``Im(z m) >= 0`` on the upper half plane.  Off the
+real axis (``solve_m2c``: resolvent, local laws) a damped fixed-point
+iteration with continuation in eta finds it.  On the real axis no eta enters:
+the support edges are the critical values of the inverse map z(m), bracketed
+between its poles -1/sigma_t (Silverstein & Choi 1995; Ledoit & Wolf 2017,
+"Numerical implementation of the QuEST function"), and the density is
+Im m / pi at the root with Im m > 0 of the equation at eta = 0, by Newton.
+The CDF integrates it in each component's cosine parameter, which at the
+hard edge of d = 1 is the substitution E = t^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import brentq
 
 
 class NonConvergence(RuntimeError):
-    """Fixed-point solver failed to reach the residual tolerance."""
-
-
-class SupportScanFailure(RuntimeError):
-    """No spectral support was found on the scan window."""
+    """A solver failed to reach the residual tolerance."""
 
 
 class QuantileOutOfRange(ValueError):
@@ -57,7 +59,8 @@ class HalfPlanePoint:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Damped fixed-point iteration controls with eta continuation."""
+    """Residual tolerance of every solve, off-axis iteration controls, and
+    ``eta_floor``, which lifts real z in ``SolvedLaw.m2c``."""
 
     tol: float = 1e-12
     max_iter: int = 10_000
@@ -67,22 +70,7 @@ class SolverOptions:
     eta_ratio: float = 0.5
 
 
-@dataclass(frozen=True)
-class SupportOptions:
-    """Support scan controls: coarse log grid plus sharp edge bisection."""
-
-    scan_points: int = 4000
-    bisect_tol: float = 1e-9
-    density_threshold: float = 1e-8
-    # Edge refinement uses the raw (non-extrapolated) imaginary part at a
-    # smaller eta; at eta=1e-7 the off-support leakage Im m ~ eta/sqrt(kappa)
-    # crosses 3e-5 only within ~1e-7 of the true edge.
-    refine_eta: float = 1e-7
-    refine_threshold: float = 3e-5
-
-
 DEFAULT_SOLVER = SolverOptions()
-DEFAULT_SUPPORT = SupportOptions()
 
 
 @dataclass(frozen=True)
@@ -238,13 +226,6 @@ def _solve_eta_level(m, z, sigmas, weights, inv_d, opts: SolverOptions):
     return m, res, iters
 
 
-def solve_m2c_grid(spectrum: PopulationSpectrum, d: float, E, eta: float,
-                   opts: SolverOptions = DEFAULT_SOLVER) -> np.ndarray:
-    """Solve the self-consistent equation at E + i*eta for an array of E."""
-    etas = _eta_ladder(eta, opts)
-    return _solve_ladder(spectrum, d, np.asarray(E, dtype=float), etas, opts)[eta]
-
-
 def _eta_ladder(eta_target: float, opts: SolverOptions) -> list[float]:
     if eta_target >= opts.eta_start:
         return [eta_target]
@@ -257,33 +238,25 @@ def _eta_ladder(eta_target: float, opts: SolverOptions) -> list[float]:
     return ladder
 
 
-def _solve_ladder(spectrum, d, E, etas, opts: SolverOptions):
-    """Continuation in eta; returns {eta: m-array} at each requested level.
-
-    ``etas`` must be sorted descending; intermediate ladder rungs are added
-    above the largest gap automatically.
-    """
+def _solve_ladder(spectrum, d, E, eta: float, opts: SolverOptions):
+    """m at E + i*eta for an array of E, by continuation down the eta ladder."""
     sigmas, weights = spectrum.sigmas, spectrum.weights
     inv_d = 1.0 / d
     E = np.atleast_1d(np.asarray(E, dtype=float))
-    full = sorted(set(_eta_ladder(min(etas), opts)) | set(etas), reverse=True)
-    z0 = E + 1j * full[0]
-    m = -1.0 / z0
-    out = {}
+    ladder = _eta_ladder(eta, opts)
+    m = -1.0 / (E + 1j * ladder[0])
     budget = 0
-    for eta in full:
-        z = E + 1j * eta
+    for rung in ladder:
+        z = E + 1j * rung
         m, res, used = _solve_eta_level(m, z, sigmas, weights, inv_d, opts)
         budget = max(budget, used)
         tol = opts.tol * max(1.0, float(np.max(np.abs(z))))
         if np.any(res > tol):
             bad = int(np.sum(res > tol))
             raise NonConvergence(
-                f"{bad} grid points above tol={tol} at eta={eta} "
+                f"{bad} grid points above tol={tol} at eta={rung} "
                 f"(max residual {res.max():.3e})")
-        if eta in etas:
-            out[eta] = m.copy()
-    return out
+    return m
 
 
 def solve_m2c(spectrum: PopulationSpectrum, d: float, z,
@@ -292,189 +265,266 @@ def solve_m2c(spectrum: PopulationSpectrum, d: float, z,
     zc = _as_z(z)
     if not zc.imag > 0:
         raise ValueError(f"z must lie in the upper half plane, got {zc}")
-    m = solve_m2c_grid(spectrum, d, np.array([zc.real]), zc.imag, opts)
+    m = _solve_ladder(spectrum, d, np.array([zc.real]), zc.imag, opts)
     return complex(m[0])
 
 
-def _im_continuous(m, E, eta, zero_atom):
-    """Im m with the exact zero-atom pole removed.
+# -- the law on the real axis ------------------------------------------------
 
-    The point mass at zero contributes -zero_atom/z to m; near the origin
-    its imaginary part would otherwise swamp the continuous density.
+_COARSE_NODES = 65      # per component, seeded off the axis
+_NEWTON_STEPS = 100
+_CDF_TOL = 1e-8         # change of a component's mass between halvings
+_MAX_HALVINGS = 10      # of the theta spacing: at most 64 * 2^10 + 1 nodes
+_BLOCK = 4096           # nodes per Newton block, bounding nodes x atoms arrays
+
+
+def _components(spectrum: PopulationSpectrum, d: float):
+    """Support components (lo, u_lo, hi, u_hi), ascending; u = 1/m at each edge.
+
+    With u = 1/m, z(u) = -u + (1/d) sum_t w_t s_t u / (u + s_t) and
+    z'(u) = h(u)/d - 1, h(u) = sum_t w_t s_t^2 / (u + s_t)^2.  E > 0 lies off
+    the support iff E = z(u) at a real u where z decreases, so the edges are
+    the values of z where h = d.  h is convex between consecutive poles -s_t
+    and exceeds d within s_t sqrt(w_t/d) of each, which brackets every zero:
+    below -s_max h rises from 0 to +inf (the top edge); above -s_min it falls
+    from +inf to 0 (the bottom edge, at u = 0 and z = 0 for d = 1: the hard
+    edge); between two poles it has two zeros iff its minimum is below d, and
+    they bound a gap.  No polynomial is formed: the cost is linear in atoms.
     """
-    if zero_atom == 0.0:
-        return m.imag
-    return m.imag - zero_atom * eta / (E * E + eta * eta)
+    if d <= 0:
+        raise ValueError(f"aspect ratio d must be positive, got {d}")
+    s, idx = np.unique(spectrum.sigmas, return_inverse=True)
+    w = np.bincount(idx, weights=spectrum.weights)
+    ws2 = w * s * s
+    near = 0.5 * s * np.sqrt(w / d)         # h > 4d this close to a pole
+    far = 2.0 * s[-1] / math.sqrt(d)        # h < d/4 this far beyond them
+
+    def h(u):
+        return np.sum(ws2 / (u + s) ** 2) - d
+
+    def dh(u):
+        return -2.0 * np.sum(ws2 / (u + s) ** 3)
+
+    def root(f, a, b):
+        return brentq(f, a, b, xtol=1e-300, rtol=1e-15, maxiter=500)
+
+    def z(u):
+        return float(u * (np.sum(w * s / (u + s)) / d - 1.0))
+
+    u_top = root(h, -s[-1] - far, -s[-1] - near[-1])
+    u_bot = 0.0 if d == 1.0 else root(h, -s[0] + near[0], far)
+    lows, highs = [(max(z(u_bot), 0.0), u_bot)], [(z(u_top), u_top)]
+    for k in range(len(s) - 1):
+        a, b = -s[k + 1] + near[k + 1], -s[k] - near[k]
+        if a < b and dh(a) < 0.0 < dh(b):
+            u_min = root(dh, a, b)
+            if h(u_min) < 0.0:
+                u1, u2 = root(h, a, u_min), root(h, u_min, b)
+                lows.append((z(u1), u1))
+                highs.append((z(u2), u2))
+    lows.sort()
+    highs.sort()
+    ends = [v for pair in zip(lows, highs) for v, _ in pair]
+    if any(b <= a for a, b in zip(ends, ends[1:])):
+        raise NonConvergence(f"support edges do not alternate: {ends}")
+    return [(lo, ul, hi, uh) for (lo, ul), (hi, uh) in zip(lows, highs)]
+
+
+def find_support(spectrum: PopulationSpectrum, d: float):
+    """Support components [(lo, hi), ...], ascending, and the zero-atom mass.
+
+    Edges are critical values of z(m) bracketed between its poles
+    (``_components``); a component starting at 0 has a hard edge (d = 1).
+    """
+    comps = _components(spectrum, d)
+    return [(lo, hi) for lo, _, hi, _ in comps], max(0.0, 1.0 - 1.0 / d)
+
+
+def _newton_real_axis(spectrum, d, E, u, opts: SolverOptions):
+    """Roots u = 1/m of z(u) = E with Im u < 0 (Im m > 0), by Newton at eta = 0.
+
+    ``u`` holds seeds below the real axis.  A step that crosses the axis is
+    reflected back: z has real coefficients, so the mirror image of a point
+    heading for the conjugate root heads for the admissible one.  Since
+    Im z(u) = Im u (H(u) - 1) with H(u) = (1/d) sum_t w_t s_t^2 / |u + s_t|^2,
+    a non-real root has H = 1, while a real root inside the support has
+    H = z'(u) + 1 > 1.  Raises NonConvergence where the residual
+    |z(u) - E| misses opts.tol times the size of its terms, or where H
+    misses 1, which flags Newton settling on a real root: a wrong branch.
+    """
+    if E.size > _BLOCK:
+        return np.concatenate([
+            _newton_real_axis(spectrum, d, E[i:i + _BLOCK], u[i:i + _BLOCK], opts)
+            for i in range(0, E.size, _BLOCK)])
+    s = spectrum.sigmas
+    ws, ws2 = spectrum.weights * s, spectrum.weights * s * s
+    inv_d = 1.0 / d
+    u = np.array(u, dtype=complex)
+    res, size = np.full(E.shape, np.inf), np.ones(E.shape)
+    todo = np.arange(E.size)
+    for step in range(_NEWTON_STEPS + 1):
+        ut = u[todo]
+        a = 1.0 / (ut[:, None] + s)
+        f = ut * (inv_d * (a @ ws) - 1.0) - E[todo]
+        res[todo] = np.abs(f)
+        # the size of the terms of f sets the floating-point floor of |f|
+        size[todo] = E[todo] + np.abs(ut) * (1.0 + inv_d * (np.abs(a) @ ws))
+        keep = res[todo] > 1e-2 * opts.tol * size[todo]
+        todo, f, a = todo[keep], f[keep], a[keep]
+        if not todo.size or step == _NEWTON_STEPS:
+            break
+        new = u[todo] - f / (inv_d * ((a * a) @ ws2) - 1.0)
+        u[todo] = np.where(new.imag > 0, new.conj(), new)
+    balance = inv_d * (np.abs(1.0 / (u[:, None] + s)) ** 2 @ ws2)
+    bad = ((res > opts.tol * size) | ~(u.imag < 0)
+           | (np.abs(balance - 1.0) > 1e-6))
+    if bad.any():
+        raise NonConvergence(
+            f"{int(bad.sum())} of {E.size} real-axis points failed at eta=0 "
+            f"(max residual {res.max():.3e}, "
+            f"max |H - 1| {np.abs(balance - 1.0).max():.3e})")
+    return u
+
+
+def _real_axis_u(spectrum, d, E, edges, opts: SolverOptions):
+    """u = 1/m(E + i0) inside the components of ``edges``, NaN elsewhere;
+    Newton is seeded off the axis at eta = 1e-3 times the component width."""
+    u = np.full(E.shape, np.nan, dtype=complex)
+    for lo, hi in edges:
+        inside = (E > lo) & (E < hi)
+        if inside.any():
+            m = _solve_ladder(spectrum, d, E[inside], 1e-3 * (hi - lo), opts)
+            u[inside] = _newton_real_axis(spectrum, d, E[inside], 1.0 / m, opts)
+    return u
+
+
+def _density(E, u, sigmas=None, wsq=None):
+    """Im m / pi from u = 1/m at eta = 0, or with ``wsq`` the direction
+    density Im of -sum_t wsq_t / (E (1 + m sigma_t)) / pi; inf at u = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (1.0 / u if wsq is None
+             else -u / E * ((1.0 / (u[:, None] + sigmas)) @ wsq))
+        return np.where(u == 0, np.inf, v.imag / np.pi)
+
+
+def _rho(spectrum, d, E, edges, opts: SolverOptions, wsq=None):
+    """``_density`` at E (scalar or array) on the real axis; 0 off the support."""
+    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
+    u = _real_axis_u(spectrum, d, E_arr, edges, opts)
+    rho = np.where(np.isnan(u), 0.0, _density(E_arr, u, spectrum.sigmas, wsq))
+    return float(rho[0]) if np.ndim(E) == 0 else rho
 
 
 def density_rho2c(spectrum: PopulationSpectrum, d: float, E,
-                  eta_floor: float | None = None,
                   opts: SolverOptions = DEFAULT_SOLVER):
-    """Continuous spectral density at E, Richardson extrapolated in eta.
+    """Continuous spectral density Im m(E + i0) / pi, 0 off the support."""
+    return _rho(spectrum, d, E, find_support(spectrum, d)[0], opts)
 
-    Im m(E + i*eta) is linear in eta to leading order both on and off the
-    support, so 2*f(eta/2) - f(eta) cancels the linear term.  Clamped at 0.
+
+def _component_table(spectrum, d, lo, u_lo, hi, u_hi, n, opts: SolverOptions):
+    """Nodes E = lo + (hi - lo) sin^2(theta/2) of a component: theta, E, u.
+
+    Newton at eta = 0 solves _COARSE_NODES nodes, uniform in theta, seeded
+    off the axis (``_real_axis_u``), then halves every theta interval, each
+    midpoint seeded from its two neighbours: u is smooth in theta up to
+    square-root and hard edges.  The end nodes take the edges' critical
+    points, where u is real.  Halving stops once there are at least n nodes
+    and the mass changed by at most _CDF_TOL, or after _MAX_HALVINGS.  When
+    the lower edge is close to 0 (d near 1), the density changes on the
+    scale E - lo ~ lo, at theta ~ sqrt(2 lo / R): the coarse nodes are then
+    graded geometrically down to that scale.
     """
-    if eta_floor is None:
-        eta_floor = opts.eta_floor
-    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    sols = _solve_ladder(spectrum, d, E_arr, [eta_floor, eta_floor / 2], opts)
-    zero_atom = max(0.0, 1.0 - 1.0 / d)
-    v1 = _im_continuous(sols[eta_floor], E_arr, eta_floor, zero_atom)
-    v2 = _im_continuous(sols[eta_floor / 2], E_arr, eta_floor / 2, zero_atom)
-    rho = np.maximum((2.0 * v2 - v1) / np.pi, 0.0)
-    if np.isscalar(E) or np.ndim(E) == 0:
-        return float(rho[0])
-    return rho
+    def nodes(t):
+        return lo + (hi - lo) * np.sin(0.5 * t) ** 2
+
+    theta = np.linspace(0.0, np.pi, _COARSE_NODES)
+    feature, step = math.sqrt(4.0 * lo / (hi - lo)), np.pi / (n - 1)
+    if 0.0 < feature < 20.0 * step:
+        theta = np.union1d(theta, np.geomspace(feature / 20.0, 20.0 * step,
+                                                2 * _COARSE_NODES))
+    E = nodes(theta)
+    E[-1] = hi
+    u = np.concatenate([[u_lo], _real_axis_u(spectrum, d, E[1:-1], [(lo, hi)],
+                                             opts), [u_hi]])
+    mass = math.inf
+    for _ in range(_MAX_HALVINGS):
+        last, mass = mass, _component_cdf(theta, _density(E, u), lo, hi)[-1]
+        if len(theta) >= n and abs(mass - last) <= _CDF_TOL:
+            break
+        mid = 0.5 * (theta[1:] + theta[:-1])
+        E_mid = nodes(mid)
+        u_mid = _newton_real_axis(spectrum, d, E_mid, 0.5 * (u[1:] + u[:-1]), opts)
+        theta, E, u = (np.insert(x, np.arange(1, len(x)), y)
+                       for x, y in ((theta, mid), (E, E_mid), (u, u_mid)))
+    return theta, E, u
 
 
-def _critical_edge_values(spectrum: PopulationSpectrum, d: float) -> np.ndarray:
-    """Exact support-edge candidates: critical values of the inverse map.
+def _cosine_param(x, edges):
+    """k*pi + theta on component k, where x = lo_k + (hi_k - lo_k) sin^2(theta/2).
 
-    On each gap of the support the Stieltjes transform is real and the
-    inverse z(m) = -1/m + (1/d) sum_t w_t s_t/(1 + m s_t) is monotone; the
-    edges are the critical values z(m*) at real roots of z'(m) = 0.  For an
-    atomic spectrum z'(m) = 0 clears to a polynomial of degree 2 * n_atoms.
+    Monotone in x, flat on gaps.  The CDF tables are interpolated in it: the
+    CDF is smooth in theta at square-root and hard edges, next to which the
+    arctan form keeps theta accurate.
     """
-    from numpy.polynomial import polynomial as P
-
-    sigmas, weights = spectrum.sigmas, spectrum.weights
-    poly = np.array([1.0])
-    for s in sigmas:
-        poly = P.polymul(poly, P.polymul([1.0, s], [1.0, s]))
-    acc = np.zeros(1)
-    for t, (s, w) in enumerate(zip(sigmas, weights)):
-        term = np.array([1.0])
-        for u, s2 in enumerate(sigmas):
-            if u != t:
-                term = P.polymul(term, P.polymul([1.0, s2], [1.0, s2]))
-        acc = P.polyadd(acc, term * (w * s * s))
-    poly = P.polyadd(poly, P.polymul([0.0, 0.0, -1.0 / d], acc))
-    roots = np.roots(poly[::-1])
-    vals = []
-    for r in roots:
-        if abs(r.imag) > 1e-9 * (1.0 + abs(r.real)):
-            continue
-        m = r.real
-        if m == 0.0 or np.any(np.abs(1.0 + m * sigmas) < 1e-12):
-            continue
-        z = -1.0 / m + (weights * sigmas / (1.0 + m * sigmas)).sum() / d
-        if z > 0:
-            vals.append(z)
-    return np.array(sorted(vals))
+    lo, hi = np.asarray(edges, dtype=float).T
+    x = x[..., None]
+    return 2.0 * np.arctan2(np.sqrt(np.maximum(x - lo, 0.0)),
+                            np.sqrt(np.maximum(hi - x, 0.0))).sum(-1)
 
 
-def find_support(spectrum: PopulationSpectrum, d: float,
-                 opts: SolverOptions = DEFAULT_SOLVER,
-                 support_opts: SupportOptions = DEFAULT_SUPPORT):
-    """Locate the support components [a_lo, a_hi] and the zero-atom mass.
+def _table_cdf(x, atom, edges, grid_p, cdf_val):
+    """atom * 1{x >= 0} plus the continuous mass up to x, from a node table."""
+    x_arr = np.asarray(x, dtype=float)
+    cont = np.interp(_cosine_param(x_arr, edges), grid_p, cdf_val)
+    out = np.where(x_arr >= 0, atom + cont, 0.0)
+    return float(out) if np.ndim(x) == 0 else out
 
-    A log-dense density scan brackets each component; edges are then refined
-    by bisection on a small-eta threshold criterion (see SupportOptions).
+
+def _component_cdf(theta, rho, lo, hi):
+    """Mass of one component up to each node, by the trapezoid rule in theta.
+
+    rho dE = rho R sin(theta) dtheta is smooth at square-root edges; at a hard
+    edge E = (sqrt(2R) sin(theta/2))^2 is the E = t^2 substitution, and the
+    finite end value is extrapolated linearly from the next two nodes.
     """
-    hi = 2.0 * (1.0 + math.sqrt(1.0 / d)) ** 2 * spectrum.sigma_max
-    lo = 1e-6 * hi
-    grid = np.geomspace(lo, hi, support_opts.scan_points)
-    rho = density_rho2c(spectrum, d, grid, opts.eta_floor, opts)
-    inside = rho > support_opts.density_threshold
-    if not inside.any():
-        raise SupportScanFailure(
-            f"no density above {support_opts.density_threshold} on the scan window")
-
-    runs = []
-    idx = np.flatnonzero(np.diff(inside.astype(int)))
-    starts = [0] if inside[0] else []
-    starts += [i + 1 for i in idx if not inside[i]]
-    ends = [i for i in idx if inside[i]]
-    if inside[-1]:
-        ends.append(len(grid) - 1)
-    for s, e in zip(starts, ends):
-        runs.append((s, e))
-
-    zero_atom = max(0.0, 1.0 - 1.0 / d)
-    eta_r = support_opts.refine_eta
-    thresh = support_opts.refine_threshold
-
-    def im_over_pi(E_vals):
-        E_vals = np.asarray(E_vals, float)
-        sols = _solve_ladder(spectrum, d, E_vals, [eta_r], opts)
-        return _im_continuous(sols[eta_r], E_vals, eta_r, zero_atom) / np.pi
-
-    def bisect(lo_pts, hi_pts, want_inside_low):
-        # vectorized bisection: criterion flips between lo and hi
-        lo_pts = np.array(lo_pts, dtype=float)
-        hi_pts = np.array(hi_pts, dtype=float)
-        while np.max(hi_pts - lo_pts) > support_opts.bisect_tol:
-            mid = 0.5 * (lo_pts + hi_pts)
-            ins = im_over_pi(mid) > thresh
-            go_up = ins == want_inside_low
-            lo_pts = np.where(go_up, mid, lo_pts)
-            hi_pts = np.where(go_up, hi_pts, mid)
-        return 0.5 * (lo_pts + hi_pts)
-
-    left_lo, left_hi, right_lo, right_hi = [], [], [], []
-    for s, e in runs:
-        left_lo.append(grid[s - 1] if s > 0 else lo * 0.5)
-        left_hi.append(grid[s])
-        right_lo.append(grid[e])
-        right_hi.append(grid[e + 1] if e + 1 < len(grid) else hi * 1.5)
-    lower_edges = bisect(left_lo, left_hi, want_inside_low=False)
-    upper_edges = bisect(right_lo, right_hi, want_inside_low=True)
-
-    edges = [(float(a), float(b)) for a, b in zip(lower_edges, upper_edges)]
-    # merge components whose refined edges meet (coarse scan artifacts)
-    merged = [edges[0]]
-    for a, b in edges[1:]:
-        if a - merged[-1][1] < 10 * support_opts.bisect_tol:
-            merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-
-    # Threshold bisection carries an O(eta * edge-slope) bias; snap each edge
-    # to the nearest critical value of the inverse map, which is exact for
-    # atomic spectra.  Skip for very large atom counts (ill-conditioned roots).
-    if len(spectrum.atoms) <= 12:
-        candidates = _critical_edge_values(spectrum, d)
-        if candidates.size:
-            polished = []
-            for a, b in merged:
-                width = b - a
-                ca = candidates[np.argmin(np.abs(candidates - a))]
-                cb = candidates[np.argmin(np.abs(candidates - b))]
-                pa = ca if abs(ca - a) < 0.05 * width + 1e-3 else a
-                pb = cb if abs(cb - b) < 0.05 * width + 1e-3 else b
-                polished.append((float(pa), float(pb)))
-            merged = polished
-    return merged, zero_atom
+    with np.errstate(invalid="ignore"):
+        f = rho * (0.5 * (hi - lo) * np.sin(theta))
+    if lo == 0.0:
+        f[0] = f[1] + (f[1] - f[2]) * (theta[1] - theta[0]) / (theta[2] - theta[1])
+    return cumulative_trapezoid(f, theta, initial=0.0)
 
 
-def _component_grid(lo, hi, n):
-    """Nodes clustered quadratically at both edges (cosine map).
-
-    The square-root edge behavior of the density becomes smooth in the map
-    parameter, so the trapezoid rule converges fast on these nodes.
-    """
-    u = np.linspace(0.0, 1.0, n)
-    return 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * u)
+def _assemble_cdf(rho, grid_p, slices, edges):
+    """Cumulative continuous mass at the nodes of all components."""
+    vals, acc = [], 0.0
+    for sl, (lo, hi) in zip(slices, edges):
+        cum = acc + _component_cdf(grid_p[sl] - grid_p[sl.start], rho[sl], lo, hi)
+        vals.append(cum)
+        acc = float(cum[-1])
+    return np.concatenate(vals)
 
 
 @dataclass(frozen=True, eq=False)
 class SolvedLaw:
-    """Fully resolved deformed MP law with cached density and CDF tables."""
+    """Deformed MP law solved on the real axis, with node and CDF tables.
+
+    Each component carries cosine-spaced nodes with u = 1/m(E + i0), the
+    density and the cumulative mass, which ``cdf`` interpolates in the cosine
+    parameter.  ``density`` and the direction laws solve the same equation at
+    eta = 0; ``m2c`` stays off the axis (real z is lifted by eta_floor).
+    """
 
     spectrum: PopulationSpectrum
     d: float
     edges: tuple[tuple[float, float], ...]
     zero_atom: float
     solver_opts: SolverOptions
-    support_opts: SupportOptions
     grid_E: np.ndarray          # density nodes over all components
-    grid_rho: np.ndarray        # extrapolated density at the nodes
-    grid_m: np.ndarray          # m at E + i*eta_floor on the nodes
-    grid_m_half: np.ndarray     # m at E + i*eta_floor/2 on the nodes
+    grid_p: np.ndarray          # k*pi + theta at the nodes: the CDF abscissa
+    grid_u: np.ndarray          # u = 1/m(E + i0) at the nodes (0 at a hard edge)
+    grid_rho: np.ndarray        # density at the nodes (inf at a hard edge)
     component_slices: tuple[slice, ...]
-    cdf_x: np.ndarray           # knots of the continuous-part CDF table
-    cdf_val: np.ndarray         # cumulative continuous mass at the knots
+    cdf_val: np.ndarray         # cumulative continuous mass at the nodes
 
     # -- basic evaluators ---------------------------------------------------
 
@@ -503,19 +553,12 @@ class SolvedLaw:
         return solve_m2c(self.spectrum, self.d, zc, self.solver_opts)
 
     def density(self, E):
-        """Continuous density rho(E) via fresh Richardson-extrapolated solve."""
-        return density_rho2c(self.spectrum, self.d, E,
-                             self.solver_opts.eta_floor, self.solver_opts)
+        """Continuous density Im m(E + i0) / pi, 0 off the support."""
+        return _rho(self.spectrum, self.d, E, self.edges, self.solver_opts)
 
     def cdf(self, x):
         """F(x) = zero_atom * 1{x >= 0} + integral of rho up to x."""
-        x_arr = np.asarray(x, dtype=float)
-        cont = np.interp(x_arr, self.cdf_x, self.cdf_val,
-                         left=0.0, right=self.continuous_mass)
-        out = np.where(x_arr >= 0, self.zero_atom + cont, 0.0)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return _table_cdf(x, self.zero_atom, self.edges, self.grid_p, self.cdf_val)
 
     def quantile(self, q: float, tol: float = 1e-10) -> float:
         """Smallest x with F(x) >= q, by bisection on the cached CDF."""
@@ -535,7 +578,11 @@ class SolvedLaw:
     # -- derived quantities ---------------------------------------------------
 
     def classical_locations(self, N: int, M: int | None = None) -> np.ndarray:
-        """gamma_1 > ... > gamma_K solving 1 - F(gamma_j) = (j - 1/2)/N."""
+        """gamma_1 > ... > gamma_K solving 1 - F(gamma_j) = (j - 1/2)/N.
+
+        Bisection starts at the lower edge: a level equal to the zero atom
+        (M = round(N/d) rounded up) lands there, not at 0.
+        """
         if M is None:
             M = int(round(N / self.d))
         K = min(M, N)
@@ -545,7 +592,7 @@ class SolvedLaw:
             raise QuantileOutOfRange(
                 f"(j-1/2)/N up to {(K - 0.5) / N} exceeds continuous mass "
                 f"{self.continuous_mass}")
-        lo = np.zeros(K)
+        lo = np.full(K, self.edges[0][0])
         hi = np.full(K, self.top_edge)
         while np.max(hi - lo) > 1e-10:
             mid = 0.5 * (lo + hi)
@@ -587,15 +634,16 @@ class SolvedLaw:
         """Density of the law seen from a population direction with value sigma_i."""
         if sigma_i <= 0:
             raise ValueError("sigma_i must be positive")
-        rho = self.density(E)
-        if rho == 0.0:
+        u = _real_axis_u(self.spectrum, self.d, np.array([float(E)]),
+                         self.edges, self.solver_opts)[0]
+        if np.isnan(u):
             return 0.0
-        m = self.m2c(E)
+        m = 1.0 / u
         denom = 1.0 / sigma_i + 2.0 * m.real + abs(m) ** 2 * sigma_i
         if abs(denom) < 1e-10:
             raise DenominatorNearZero(
                 f"direction denominator {denom:.3e} at E={E}, sigma={sigma_i}")
-        return rho / (E * denom)
+        return m.imag / np.pi / (E * denom)
 
     def direction(self, u: LawVector) -> "DirectionalLaw":
         """Direction-resolved law F(u) for a unit vector in the Sigma eigenbasis."""
@@ -638,109 +686,57 @@ class DirectionalLaw:
     u: LawVector
     atom: float                 # mass at zero fixed so the total is one
     grid_rho: np.ndarray
-    cdf_x: np.ndarray
     cdf_val: np.ndarray
 
     @classmethod
     def _build(cls, law: SolvedLaw, u: LawVector) -> "DirectionalLaw":
         wsq = u.atom_weights(len(law.spectrum.atoms))
-        rho = _direction_density_from_m(
-            law.grid_E, law.grid_m, law.grid_m_half,
-            law.spectrum.sigmas, wsq, law.solver_opts.eta_floor)
-        cdf_x, cdf_val = _assemble_cdf(law.grid_E, rho, law.component_slices,
-                                       law.edges)
+        rho = _density(law.grid_E, law.grid_u, law.spectrum.sigmas, wsq)
+        cdf_val = _assemble_cdf(rho, law.grid_p, law.component_slices,
+                                law.edges)
         atom = max(0.0, 1.0 - float(cdf_val[-1]))
-        return cls(law=law, u=u, atom=atom, grid_rho=rho,
-                   cdf_x=cdf_x, cdf_val=cdf_val)
+        return cls(law=law, u=u, atom=atom, grid_rho=rho, cdf_val=cdf_val)
 
     def density(self, E):
-        E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-        sols = _solve_ladder(self.law.spectrum, self.law.d, E_arr,
-                             [self.law.solver_opts.eta_floor,
-                              self.law.solver_opts.eta_floor / 2],
-                             self.law.solver_opts)
-        eta = self.law.solver_opts.eta_floor
-        wsq = self.u.atom_weights(len(self.law.spectrum.atoms))
-        rho = _direction_density_from_m(E_arr, sols[eta], sols[eta / 2],
-                                        self.law.spectrum.sigmas, wsq, eta)
-        if np.ndim(E) == 0:
-            return float(rho[0])
-        return rho
+        law = self.law
+        wsq = self.u.atom_weights(len(law.spectrum.atoms))
+        return _rho(law.spectrum, law.d, E, law.edges, law.solver_opts, wsq)
 
     def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        cont = np.interp(x_arr, self.cdf_x, self.cdf_val,
-                         left=0.0, right=float(self.cdf_val[-1]))
-        out = np.where(x_arr >= 0, self.atom + cont, 0.0)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return _table_cdf(x, self.atom, self.law.edges, self.law.grid_p,
+                          self.cdf_val)
 
     @property
     def total_mass(self) -> float:
         return self.atom + float(self.cdf_val[-1])
 
 
-def _direction_density_from_m(E, m, m_half, sigmas, wsq, eta):
-    """Richardson-extrapolated Im of -<u, (z(1+m Sigma))^{-1} u> / pi."""
-    out = np.zeros_like(np.asarray(E, dtype=float))
-    for s, w in zip(sigmas, wsq):
-        if w == 0.0:
-            continue
-        z = E + 1j * eta
-        z2 = E + 1j * (eta / 2)
-        v = (-1.0 / (z * (1.0 + m * s))).imag
-        v2 = (-1.0 / (z2 * (1.0 + m_half * s))).imag
-        out = out + w * (2.0 * v2 - v)
-    return np.maximum(out / np.pi, 0.0)
-
-
-def _assemble_cdf(grid_E, rho, slices, edges):
-    """Cumulative-trapezoid table over the component grids, flat on gaps."""
-    xs = [np.array([0.0])]
-    vals = [np.array([0.0])]
-    acc = 0.0
-    for sl, (lo, hi) in zip(slices, edges):
-        E = grid_E[sl]
-        r = rho[sl]
-        cum = cumulative_trapezoid(r, E, initial=0.0) + acc
-        xs.append(E)
-        vals.append(cum)
-        acc = float(cum[-1])
-    cdf_x = np.concatenate(xs)
-    cdf_val = np.concatenate(vals)
-    return cdf_x, cdf_val
-
-
 def solve_law(spectrum: PopulationSpectrum, d: float,
               opts: SolverOptions = DEFAULT_SOLVER,
-              support_opts: SupportOptions = DEFAULT_SUPPORT,
-              nodes_per_component: int = 3001) -> SolvedLaw:
-    """Resolve the full law: support, density grid, CDF table."""
-    if d <= 0:
-        raise ValueError(f"aspect ratio d must be positive, got {d}")
-    edges, zero_atom = find_support(spectrum, d, opts, support_opts)
+              nodes_per_component: int = 4097) -> SolvedLaw:
+    """Resolve the full law on the real axis: support, density nodes, CDF.
 
-    grids = []
-    slices = []
-    start = 0
-    for lo, hi in edges:
-        g = _component_grid(lo, hi, nodes_per_component)
-        grids.append(g)
-        slices.append(slice(start, start + len(g)))
-        start += len(g)
-    grid_E = np.concatenate(grids)
-
-    sols = _solve_ladder(spectrum, d, grid_E,
-                         [opts.eta_floor, opts.eta_floor / 2], opts)
-    m_lo = sols[opts.eta_floor]
-    m_half = sols[opts.eta_floor / 2]
-    rho = np.maximum((2.0 * m_half.imag - m_lo.imag) / np.pi, 0.0)
-
-    cdf_x, cdf_val = _assemble_cdf(grid_E, rho, slices, edges)
-
+    Edges are the critical values of the inverse map (``find_support``).  On
+    each component the density is solved at eta = 0 on at least
+    ``nodes_per_component`` cosine-spaced nodes (``_component_table``) and
+    integrated in the cosine parameter, which keeps a hard edge's mass.
+    """
+    comps = _components(spectrum, d)
+    tables = [_component_table(spectrum, d, *c, nodes_per_component, opts)
+              for c in comps]
+    edges = tuple((lo, hi) for lo, _, hi, _ in comps)
+    slices, start = [], 0
+    for theta, _, _ in tables:
+        slices.append(slice(start, start + len(theta)))
+        start += len(theta)
+    grid_p = np.concatenate([k * np.pi + theta
+                             for k, (theta, _, _) in enumerate(tables)])
+    grid_E = np.concatenate([E for _, E, _ in tables])
+    grid_u = np.concatenate([u for _, _, u in tables])
+    rho = _density(grid_E, grid_u)
+    cdf_val = _assemble_cdf(rho, grid_p, slices, edges)
     return SolvedLaw(
-        spectrum=spectrum, d=d, edges=tuple(edges), zero_atom=zero_atom,
-        solver_opts=opts, support_opts=support_opts,
-        grid_E=grid_E, grid_rho=rho, grid_m=m_lo, grid_m_half=m_half,
-        component_slices=tuple(slices), cdf_x=cdf_x, cdf_val=cdf_val)
+        spectrum=spectrum, d=d, edges=edges,
+        zero_atom=max(0.0, 1.0 - 1.0 / d), solver_opts=opts,
+        grid_E=grid_E, grid_p=grid_p, grid_u=grid_u, grid_rho=rho,
+        component_slices=tuple(slices), cdf_val=cdf_val)

@@ -229,6 +229,8 @@ def local_law_residuals(X_list: Sequence[np.ndarray], sigma_diag, law: SolvedLaw
     if rng is None:
         rng = np.random.default_rng(12345)
     sigma_diag = np.asarray(sigma_diag, dtype=float)
+    limits = {(N, complex(z)): deterministic_limit(law, sigma_diag, z, N)
+              for N in sorted({X.shape[1] for X in X_list}) for z in z_list}
     records = []
     for trial, X in enumerate(X_list):
         M, N = X.shape
@@ -242,7 +244,7 @@ def local_law_residuals(X_list: Sequence[np.ndarray], sigma_diag, law: SolvedLaw
             zc = complex(z)
             eta = zc.imag
             res = build_resolvent(X, sigma_diag, zc)
-            lim = deterministic_limit(law, sigma_diag, zc, N)
+            lim = limits[N, zc]
             n_eta = N * eta
             diag = np.diagonal(res.G)
 

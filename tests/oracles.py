@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from scipy.optimize import brentq
 
 
 def mp_edges(d: float, sigma: float = 1.0) -> tuple[float, float]:
@@ -63,6 +64,48 @@ def cleared_poly_root(z: complex, d: float, atoms) -> complex:
           if m.imag > 1e-13 and (z * m).imag > -1e-11]
     assert len(ok) == 1, (z, roots)
     return complex(ok[0])
+
+
+def critical_edges(atoms, d: float) -> list[tuple[float, float]]:
+    """Support components [(lo, hi), ...] as critical values of z(m).
+
+    x > 0 lies outside the support iff x = z(m) at a real m with z'(m) > 0,
+    where z(m) = -1/m + (1/d) sum_t w_t s_t / (1 + m s_t).  The sign of z'
+    is sampled densely on every interval between the poles -1/s_t and 0,
+    each sign change is refined by Brent's method, and the values of z
+    there, sorted, alternate lower and upper edges; a list that starts with
+    an upper edge gets the hard edge 0 in front (d = 1).
+    """
+    s = np.array([a for a, _ in atoms], dtype=float)
+    w = np.array([b for _, b in atoms], dtype=float)
+
+    def slope(m):
+        m = np.asarray(m, dtype=float)
+        return 1.0 / m ** 2 - (w * s * s / (1.0 + m[..., None] * s) ** 2).sum(-1) / d
+
+    def z(m):
+        return -1.0 / m + (w * s / (1.0 + m * s)).sum() / d
+
+    poles = np.sort(np.append(-1.0 / s, 0.0))
+    reach = np.logspace(-12, 12, 4000)
+    samples = [poles[0] - reach[::-1], poles[-1] + reach]
+    cosine = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, 4000)[1:-1])
+    samples += [a + (b - a) * cosine for a, b in zip(poles, poles[1:])]
+    events = []
+    for ms in samples:
+        g = slope(ms)
+        keep = np.isfinite(g) & (g != 0.0)
+        ms, g = ms[keep], g[keep]
+        for i in np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:])):
+            m = brentq(slope, ms[i], ms[i + 1], xtol=1e-300, rtol=1e-15)
+            if z(m) > 0:
+                events.append((z(m), "hi" if g[i] < 0 else "lo"))
+    events.sort()
+    if events[0][1] == "hi":
+        events.insert(0, (0.0, "lo"))
+    assert [k for _, k in events] == ["lo", "hi"] * (len(events) // 2), events
+    vals = [v for v, _ in events]
+    return list(zip(vals[0::2], vals[1::2]))
 
 
 def dense_grid_sup(F, G, lo: float, hi: float, n: int = 10 ** 6) -> float:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +125,24 @@ class TestCli:
         out = str(tmp_path / "never.csv")
         rc = main(["law", "edges", "--config", bad, "--out", out])
         assert rc == 2
+        assert not os.path.exists(out)
+
+    def test_quantile_out_of_range_exit_code(self, tmp_path):
+        # d = 2 leaves continuous mass 1/2, so N = 100 locations need M <= 50
+        cfg = _write(tmp_path, "d2.json",
+                     {"spectrum": [{"sigma": 1.0, "weight": 1.0}], "d": 2.0})
+        out = str(tmp_path / "never.csv")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpvesd.cli", "law", "gamma", "--config",
+             cfg, "--out", out, "--N", "100", "--M", "200"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "input error:" in proc.stderr
+        assert "exceeds continuous mass" in proc.stderr
         assert not os.path.exists(out)
 
     def test_family_mismatch_rejected(self, tiny_exp_config, tmp_path):

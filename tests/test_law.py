@@ -16,9 +16,14 @@ from mpvesd.law import (
     solve_law,
     solve_m2c,
 )
-from oracles import cleared_poly_root, mp_density, mp_edges, quadratic_root
+from oracles import (cleared_poly_root, critical_edges, mp_density, mp_edges,
+                     quadratic_root)
 
 DELTA1 = PopulationSpectrum.identity()
+
+
+def geometric_atoms(k, lo, hi):
+    return tuple((float(s), 1.0 / k) for s in np.geomspace(lo, hi, k))
 
 
 class TestPopulationSpectrum:
@@ -167,6 +172,38 @@ class TestSupport:
                              spiked_law_d2.grid_E[sl])
             assert abs(N * mass - round(N * mass)) < 1e-3
 
+    @pytest.mark.parametrize("atoms, d", [
+        (geometric_atoms(20, 0.2, 10.0), 4.0),
+        (geometric_atoms(100, 0.5, 5.0), 2.0),
+    ])
+    def test_many_atoms_match_bracketed_oracle(self, atoms, d):
+        law = solve_law(PopulationSpectrum(atoms=atoms), d)
+        want = critical_edges(atoms, d)
+        assert len(law.edges) == len(want)
+        np.testing.assert_allclose(np.array(law.edges), np.array(want),
+                                   rtol=1e-7)
+        assert law.total_mass == pytest.approx(1.0, abs=1e-6)
+        for sl in law.component_slices:
+            assert np.all(law.grid_rho[sl][1:-1] > 0)
+
+
+class TestHardEdge:
+    """delta_1 at d = 1: the density diverges like E^{-1/2} at E = 0."""
+
+    def test_edges_mass_and_cdf(self):
+        law = solve_law(DELTA1, 1.0)
+        assert len(law.edges) == 1
+        lo, hi = law.edges[0]
+        assert lo == pytest.approx(0.0, abs=1e-9)
+        assert hi == pytest.approx(4.0, abs=1e-9)
+        assert law.zero_atom == 0.0
+        assert law.total_mass == pytest.approx(1.0, abs=1e-6)
+        xs = np.concatenate([[1e-7, 1e-5, 1e-3], np.linspace(0.05, 4.0, 25)])
+        for x in xs:
+            want = quad(lambda t: float(mp_density(t, 1.0)), 0.0, x,
+                        limit=200)[0]
+            assert law.cdf(x) == pytest.approx(want, abs=1e-5)
+
 
 class TestCdf:
     def test_negative_x(self, mp_law_d2):
@@ -219,6 +256,21 @@ class TestClassicalLocations:
         j = np.arange(1, len(g) + 1)
         lhs = 1.0 - spiked_law_d2.cdf(g)
         assert np.max(np.abs(lhs - (j - 0.5) / N)) < 1e-8
+
+    @pytest.mark.parametrize("atoms, d, N", [
+        (SPIKED, 2.0, 395),
+        (geometric_atoms(20, 0.2, 10.0), 4.0, 326),
+    ])
+    def test_default_M_rounded_up_stays_in_support(self, atoms, d, N):
+        # N/d is a half-integer and round(N/d) rounds up: the last level
+        # equals the zero atom and belongs at the lower edge, not at 0
+        law = solve_law(PopulationSpectrum(atoms=atoms), d)
+        g = law.classical_locations(N)
+        assert len(g) == round(N / d) > N / d
+        inside = np.zeros(len(g), dtype=bool)
+        for lo, hi in law.edges:
+            inside |= (g >= lo) & (g <= hi)
+        assert inside.all()
 
     def test_out_of_range_level(self, mp_law_d2):
         with pytest.raises(QuantileOutOfRange):

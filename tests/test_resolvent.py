@@ -194,6 +194,30 @@ class TestLocalLaw:
         for stat, ratios in by_stat.items():
             assert max(ratios) < 10.0
 
+    def test_limits_solved_once_per_z(self, mp_law_d2, monkeypatch):
+        from mpvesd import law as law_module
+        N, M = 40, 20
+        Xs = [sample_X(M, N, EntryLaw("gaussian"), 900 + t) for t in range(3)]
+        zs = [complex(1.0, 0.5), complex(2.0, 0.1)]
+        # one call per trial solves m(z) again for every trial; sharing the
+        # generator keeps the test vectors of the single call
+        rng = np.random.default_rng(3)
+        per_trial = [dict(r, trial=t) for t, X in enumerate(Xs)
+                     for r in local_law_residuals([X], np.ones(M), mp_law_d2,
+                                                  zs, rng=rng)]
+        calls = []
+        solve = law_module.solve_m2c
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(law_module, "solve_m2c", counting)
+        rows = local_law_residuals(Xs, np.ones(M), mp_law_d2, zs,
+                                   rng=np.random.default_rng(3))
+        assert len(calls) == len(zs)
+        assert rows == per_trial
+
     def test_mean_resolvent_error_decays_like_inverse_eta(self, mp_law_d2):
         N, M, trials = 200, 100, 300
         rng = np.random.default_rng(77)
