@@ -13,18 +13,20 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
 import mpvesd
 from mpvesd import experiments as exps
 from mpvesd.config import ConfigError, LawSpec, config_hash, load_config
-from mpvesd.ensembles import EntryLaw, decompose, sample_X
+from mpvesd.ensembles import ENTRY_KINDS, EntryLaw, gram_eigh, sample_X, \
+    sample_Y
 from mpvesd.experiments import ExperimentConfig, sigma_diag_from_spectrum
-from mpvesd.law import (LawVector, NonConvergence, QuantileOutOfRange,
-                        solve_law, solve_m2c)
+from mpvesd.law import NonConvergence, QuantileOutOfRange, solve_law, \
+    solve_m2c
 from mpvesd.resolvent import verify_resolvent_identities
-from mpvesd.vesd import kolmogorov, vesd_curve
+from mpvesd.vesd import kolmogorov, vesd_from_spectrum
 
 log = logging.getLogger("mpvesd")
 
@@ -123,19 +125,24 @@ def _test_vector(spec: str, dim: int, seed: int) -> np.ndarray:
     raise ConfigError(f"vector: expected 'random' or 'e<i>', got {spec!r}")
 
 
-def _sampled_decomposition(args, spectrum, d):
-    N = args.N
-    M = args.M if args.M else exps.dims_for(N, d)
+def _sampled_spectrum(args, spectrum, d, vectors=True):
+    M = args.M if args.M else exps.dims_for(args.N, d)
     sig = sigma_diag_from_spectrum(spectrum.atoms, M)
-    X = sample_X(M, N, EntryLaw(args.law), args.seed)
-    return decompose(X, sig, seed=args.seed), M, N
+    Y = sample_Y(np.random.default_rng(args.seed), M, args.N,
+                 EntryLaw(args.law), sig)
+    return gram_eigh(Y, args.side, vectors)
+
+
+def _sampled_vesd(args, spectrum, d):
+    lam, basis = _sampled_spectrum(args, spectrum, d)
+    v = _test_vector(args.vector, len(lam), args.seed + 1)
+    return vesd_from_spectrum(lam, (basis.T @ v) ** 2)
 
 
 def _cmd_sample(args) -> int:
     t0 = time.monotonic()
     spectrum, d, notes = _law_from_config(args)
-    dec, M, N = _sampled_decomposition(args, spectrum, d)
-    lam = dec.lambdas_q1 if args.side == "q1" else dec.lambdas_q2
+    lam = _sampled_spectrum(args, spectrum, d, vectors=False)[::-1]
     rows = [(i, float(v)) for i, v in enumerate(lam.tolist())]
     n = _write_rows(args.out, ("index", "lambda"), rows)
     _summary(n, args.out, t0, notes)
@@ -145,10 +152,7 @@ def _cmd_sample(args) -> int:
 def _cmd_vesd(args) -> int:
     t0 = time.monotonic()
     spectrum, d, notes = _law_from_config(args)
-    dec, M, N = _sampled_decomposition(args, spectrum, d)
-    dim = M if args.side == "q1" else N
-    v = _test_vector(args.vector, dim, args.seed + 1)
-    F = vesd_curve(dec, v, args.side)
+    F = _sampled_vesd(args, spectrum, d)
     cum = F.cumulative
     rows = list(zip(F.xs.tolist(), cum.tolist()))
     n = _write_rows(args.out, ("x", "cumulative"), rows, fmt="%.6g")
@@ -160,15 +164,9 @@ def _cmd_dist(args) -> int:
     t0 = time.monotonic()
     spectrum, d, notes = _law_from_config(args)
     law = solve_law(spectrum, d)
-    dec, M, N = _sampled_decomposition(args, spectrum, d)
-    dim = M if args.side == "q1" else N
-    v = _test_vector(args.vector, dim, args.seed + 1)
-    F = vesd_curve(dec, v, args.side)
-    if args.side == "q2":
-        dist = kolmogorov(F, law.cdf)
-    else:
-        ref = exps._F1cReference(law)
-        dist = kolmogorov(F, ref)
+    F = _sampled_vesd(args, spectrum, d)
+    ref = law.cdf if args.side == "q2" else exps.F1cReference(law)
+    dist = kolmogorov(F, ref)
     rows = [("kolmogorov", dist)]
     n = _write_rows(args.out, ("statistic", "value"), rows)
     _summary(n, args.out, t0, notes)
@@ -185,7 +183,7 @@ def _cmd_exp(args) -> int:
         raise ConfigError(
             f"family: config says {cfg.family!r} but command says {args.family!r}")
     if args.seed is not None:
-        cfg = exps.replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     res = exps.run(cfg, jobs=args.jobs)
     n = _write_rows(args.out, exps.RECORD_HEADER, res.records)
     _summary(n, args.out, t0, notes)
@@ -194,10 +192,6 @@ def _cmd_exp(args) -> int:
 
 def _cmd_lab(args) -> int:
     t0 = time.monotonic()
-    if args.lab_cmd != "identities":
-        spectrum, d, notes = _law_from_config(args)
-    else:
-        notes = ()
     if args.lab_cmd == "identities":
         rows = []
         worst = 0.0
@@ -210,29 +204,22 @@ def _cmd_lab(args) -> int:
             worst = max(worst, r)
             rows.append((trial, r))
         n = _write_rows(args.out, ("trial", "max_residual"), rows)
-        _summary(n, args.out, t0, notes)
+        _summary(n, args.out, t0)
         print(f"max residual over {args.trials} trials: {worst:.3e}")
         return 0
+    spectrum, d, notes = _law_from_config(args)
+    cfg = ExperimentConfig(family=args.lab_cmd, d=d, spectrum=spectrum.atoms,
+                           trials=args.trials, seed=args.seed,
+                           params={"N": args.N})
+    res = exps.run(cfg, jobs=args.jobs)
     if args.lab_cmd == "locallaw":
-        cfg = ExperimentConfig(family="locallaw", d=d,
-                               spectrum=spectrum.atoms, trials=args.trials,
-                               seed=args.seed, params={"N": args.N})
-        res = exps.run_locallaw(cfg, jobs=args.jobs)
-        rows = [(r["E"], r["eta"], r["statistic"], r["value"], r["envelope"])
-                for r in res.extras["rows"]]
-        n = _write_rows(args.out, ("E", "eta", "statistic", "value", "envelope"),
-                        rows)
-        _summary(n, args.out, t0, notes)
-        return 0
-    if args.lab_cmd == "rigidity":
-        cfg = ExperimentConfig(family="rigidity", d=d, spectrum=spectrum.atoms,
-                               trials=args.trials, seed=args.seed,
-                               params={"N": args.N})
-        res = exps.run_rigidity(cfg, jobs=args.jobs)
-        n = _write_rows(args.out, exps.RECORD_HEADER, res.records)
-        _summary(n, args.out, t0, notes)
-        return 0
-    raise ConfigError(f"unknown lab subcommand {args.lab_cmd!r}")  # pragma: no cover
+        header = ("E", "eta", "statistic", "value", "envelope")
+        rows = [tuple(r[k] for k in header) for r in res.extras["rows"]]
+    else:
+        header, rows = exps.RECORD_HEADER, res.records
+    n = _write_rows(args.out, header, rows)
+    _summary(n, args.out, t0, notes)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,32 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--tau", type=float, default=None)
 
-    sp = sub.add_parser("sample", help="dump sampled eigenvalues")
-    common(sp)
-    sp.add_argument("--M", type=int, default=None)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--law", choices=["gaussian", "rademacher",
-                                      "pareto_symmetric"], default="gaussian")
-    sp.add_argument("--side", choices=["q1", "q2"], default="q1")
-    sp.set_defaults(seed=0)
+    def sampling(name, desc, side):
+        sp = sub.add_parser(name, help=desc)
+        common(sp)
+        sp.add_argument("--M", type=int, default=None)
+        sp.add_argument("--N", type=int, required=True)
+        sp.add_argument("--law", choices=ENTRY_KINDS, default="gaussian")
+        sp.add_argument("--side", choices=["q1", "q2"], default=side)
+        return sp
 
-    sp = sub.add_parser("vesd", help="VESD curve for a test vector")
-    common(sp)
-    sp.add_argument("--M", type=int, default=None)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--law", choices=["gaussian", "rademacher",
-                                      "pareto_symmetric"], default="gaussian")
-    sp.add_argument("--side", choices=["q1", "q2"], default="q2")
-    sp.add_argument("--vector", default="random")
-
-    sp = sub.add_parser("dist", help="Kolmogorov distance of a sampled VESD")
-    common(sp)
-    sp.add_argument("--M", type=int, default=None)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--law", choices=["gaussian", "rademacher",
-                                      "pareto_symmetric"], default="gaussian")
-    sp.add_argument("--side", choices=["q1", "q2"], default="q2")
-    sp.add_argument("--vector", default="random")
+    sampling("sample", "dump sampled eigenvalues", "q1")
+    for name, desc in (("vesd", "VESD curve for a test vector"),
+                       ("dist", "Kolmogorov distance of a sampled VESD")):
+        sampling(name, desc, "q2").add_argument("--vector", default="random")
 
     sp = sub.add_parser("exp", help="run an experiment family")
     sp.add_argument("family", choices=list(exps.FAMILIES))
@@ -310,14 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, default=1.0)
     sp.add_argument("--trials", type=int, default=10)
     sp.set_defaults(config=None)
-    sp = lab_sub.add_parser("locallaw")
-    common(sp)
-    sp.add_argument("--N", type=int, default=200)
-    sp.add_argument("--trials", type=int, default=10)
-    sp = lab_sub.add_parser("rigidity")
-    common(sp)
-    sp.add_argument("--N", type=int, default=500)
-    sp.add_argument("--trials", type=int, default=50)
+    for name, N, trials in (("locallaw", 200, 10), ("rigidity", 500, 50)):
+        sp = lab_sub.add_parser(name)
+        common(sp)
+        sp.add_argument("--N", type=int, default=N)
+        sp.add_argument("--trials", type=int, default=trials)
     return p
 
 

@@ -13,12 +13,8 @@ import json
 from dataclasses import asdict, dataclass
 
 from mpvesd.ensembles import ENTRY_KINDS, EntryLaw
-from mpvesd.experiments import FAMILIES, ExperimentConfig
+from mpvesd.experiments import FAMILIES, ConfigError, ExperimentConfig, params_error
 from mpvesd.law import PopulationSpectrum
-
-
-class ConfigError(ValueError):
-    """Invalid config; the message lists every offending key."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +129,8 @@ def parse_config(raw: dict):
     params = raw.get("params", {})
     if not isinstance(params, dict):
         errors.append(f"params: must be an object, got {type(params).__name__}")
+    elif family in FAMILIES and (msg := params_error(family, params)):
+        errors.append(msg)
 
     if errors:
         raise ConfigError("; ".join(errors))

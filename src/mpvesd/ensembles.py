@@ -1,8 +1,10 @@
 """Random data matrices, population covariances, and spectral decompositions.
 
 Entry laws are normalized to mean zero and unit variance before the 1/sqrt(N)
-scaling.  Decompositions keep full orthonormal eigenbases of both
-Q1 = Sigma^{1/2} X X* Sigma^{1/2}  (M x M)  and  Q2 = X* Sigma X  (N x N),
+scaling.  Every Monte Carlo trial runs one kernel: ``sample_Y`` draws
+Y = Sigma^{1/2} X, then ``gram_eigh`` forms Q1 = Y Y* (M x M) or Q2 = Y* Y
+(N x N) from that one buffer, so BLAS takes its symmetric path, and
+decomposes it.  ``decompose`` keeps full orthonormal eigenbases of both,
 kernel vectors included, so VESD sums run over complete bases.
 """
 
@@ -77,8 +79,7 @@ def sample_X(M: int, N: int, law: EntryLaw, seed) -> np.ndarray:
     """M x N matrix of i.i.d. entries from ``law`` scaled by N^{-1/2}."""
     if M < 1 or N < 1:
         raise ValueError("dimensions must be >= 1")
-    rng = np.random.default_rng(seed)
-    return law.sample(rng, (M, N)) / math.sqrt(N)
+    return sample_Y(np.random.default_rng(seed), M, N, law)
 
 
 def truncate_entries(X: np.ndarray, phi: float):
@@ -152,6 +153,29 @@ def apply_sqrt_sigma(X: np.ndarray, sigma) -> np.ndarray:
     return root @ X
 
 
+def sample_Y(rng: np.random.Generator, M: int, N: int, entry_law: EntryLaw,
+             sigma_diag: np.ndarray | None = None) -> np.ndarray:
+    """Y = Sigma^{1/2} X, X = entry_law.sample(rng, (M, N)) / sqrt(N), scaled in
+    place (freeing X mid-trial costs fresh pages); None is Sigma = I."""
+    Y = entry_law.sample(rng, (M, N)) / math.sqrt(N)
+    if sigma_diag is not None:
+        Y *= np.sqrt(sigma_diag)[:, None]
+    return Y
+
+
+def gram_eigh(Y: np.ndarray, side: str, vectors: bool = True):
+    """Ascending ``eigh`` of Q1 = Y Y* ('q1') or Q2 = Y* Y ('q2'), or only
+    its eigenvalues (``eigvalsh``) when ``vectors`` is False.  ``np.linalg.eigh``
+    is looked up per call, where the bench tracer (bench/spans.py) patches it."""
+    if side not in ("q1", "q2"):
+        raise ValueError(f"side must be 'q1' or 'q2', got {side!r}")
+    Q = Y @ Y.conj().T if side == "q1" else Y.conj().T @ Y
+    try:
+        return np.linalg.eigh(Q) if vectors else np.linalg.eigvalsh(Q)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailure(str(exc)) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleDecomposition:
     """Full spectral data of Q1 and Q2 from one sampled X."""
@@ -180,13 +204,8 @@ class EnsembleDecomposition:
 def decompose(X: np.ndarray, sigma=None, seed: int | None = None) -> EnsembleDecomposition:
     """Full symmetric eigendecompositions of Q1 and Q2, kernels included."""
     Y = apply_sqrt_sigma(X, sigma)
-    Q1 = Y @ Y.conj().T
-    Q2 = Y.conj().T @ Y
-    try:
-        w1, V1 = np.linalg.eigh(Q1)
-        w2, V2 = np.linalg.eigh(Q2)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(str(exc)) from exc
+    w1, V1 = gram_eigh(Y, "q1")
+    w2, V2 = gram_eigh(Y, "q2")
     return EnsembleDecomposition(
         lambdas_q1=w1[::-1].copy(), lambdas_q2=w2[::-1].copy(),
         basis_q1=V1[:, ::-1].copy(), basis_q2=V2[:, ::-1].copy(), seed=seed)
@@ -215,10 +234,10 @@ def sample_signal_model(A: np.ndarray, N: int, s_law: EntryLaw, z_law: EntryLaw,
     M, k = A.shape
     ss = np.random.SeedSequence(seed)
     s_stream, z_stream = ss.spawn(2)
-    Z = z_law.sample(np.random.default_rng(z_stream), (M, N)) / math.sqrt(N)
+    Z = sample_Y(np.random.default_rng(z_stream), M, N, z_law)
     if k == 0:
         return Z
-    S = s_law.sample(np.random.default_rng(s_stream), (k, N)) / math.sqrt(N)
+    S = sample_Y(np.random.default_rng(s_stream), k, N, s_law)
     return A @ S + Z
 
 

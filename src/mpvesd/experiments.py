@@ -4,6 +4,10 @@ Every family is a pure function of (config, root seed): per-trial RNG
 substreams are derived by hashing (seed, family tag, N, trial), so results
 do not depend on execution order or worker count, and output rows are
 canonically sorted before writing.
+
+Trials run the kernel of ``mpvesd.ensembles``, ``sample_Y`` then
+``gram_eigh`` on the smaller Gram side (signal_detect and separable build
+their own Y; locallaw only samples).  Unknown ``params`` keys are rejected.
 """
 
 from __future__ import annotations
@@ -12,24 +16,35 @@ import math
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from mpvesd.ensembles import EntryLaw, sample_separable, sample_signal_model, \
-    sample_X, signal_plant
+from mpvesd.ensembles import EntryLaw, gram_eigh, sample_separable, \
+    sample_signal_model, sample_Y, signal_plant
 from mpvesd.law import PopulationSpectrum, SolvedLaw, solve_law
 from mpvesd.resolvent import local_law_residuals, rigidity_report
 from mpvesd.vesd import RatePoint, WeightedStepCDF, coordinate_profile, \
-    kolmogorov, loglog_fit, vesd_curve
-
-FAMILIES = ("conv_rate", "expected_conv", "signal_detect", "separable",
-            "spiked_vesd", "locallaw", "rigidity")
+    kolmogorov, loglog_fit, vesd_from_spectrum
 
 #: record tuple fields, in CSV column order
 RECORD_HEADER = ("family", "N", "trial", "seed", "statistic", "value")
+
+
+class ConfigError(ValueError):
+    """Invalid config; the message lists every offending key."""
+
+
+def params_error(family: str, params: dict) -> str | None:
+    """Message naming every ``params`` key the family does not read."""
+    keys = _FAMILIES[family][1]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        return (f"params: unknown keys {unknown} for family {family!r}, "
+                f"which reads {list(keys)}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if list(self.schedule) != sorted(self.schedule):
             raise ValueError("schedule must be ascending")
+        if msg := params_error(self.family, self.params):
+            raise ConfigError(msg)
 
     def population_spectrum(self) -> PopulationSpectrum:
         return PopulationSpectrum(atoms=self.spectrum)
@@ -122,18 +139,12 @@ def _conv_rate_trial(task, law: SolvedLaw, spectrum_pairs, entry_law: EntryLaw,
     N, trial = task
     M = dims_for(N, d)
     rng, derived = substream(root_seed, _family_tag("conv_rate"), N, trial)
-    X = entry_law.sample(rng, (M, N)) / math.sqrt(N)
+    Y = sample_Y(rng, M, N, entry_law,
+                 sigma_diag_from_spectrum(spectrum_pairs, M))
     v = rng.standard_normal(N)
     v /= np.linalg.norm(v)
-    sig = sigma_diag_from_spectrum(spectrum_pairs, M)
-    Y = np.sqrt(sig)[:, None] * X
-    w2, V2 = np.linalg.eigh(Y.T @ Y)
-    weights = (V2.T @ v) ** 2
-    zero = w2 < 1e-10
-    xs = np.concatenate(([0.0], w2[~zero]))
-    ws = np.concatenate(([weights[zero].sum()], weights[~zero]))
-    F = WeightedStepCDF.from_jumps(xs, ws)
-    dist = kolmogorov(F, law.cdf)
+    w2, V2 = gram_eigh(Y, "q2")
+    dist = kolmogorov(vesd_from_spectrum(w2, (V2.T @ v) ** 2), law.cdf)
     return N, trial, derived, dist
 
 
@@ -172,14 +183,11 @@ def _expected_conv_chunk(task, spectrum_pairs, entry_law: EntryLaw, d: float,
     v = v_rng.standard_normal(N)
     v /= np.linalg.norm(v)
     sig = sigma_diag_from_spectrum(spectrum_pairs, M)
-    root = np.sqrt(sig)[:, None]
     xs_all, ws_all = [], []
     for rep in range(rep_lo, rep_hi):
         rng, _ = substream(root_seed, _family_tag("expected_conv"), N, rep)
-        X = entry_law.sample(rng, (M, N)) / math.sqrt(N)
-        Y = root * X
-        w2, V2 = np.linalg.eigh(Y.T @ Y)
-        xs_all.append(np.maximum(w2, 0.0))
+        w2, V2 = gram_eigh(sample_Y(rng, M, N, entry_law, sig), "q2")
+        xs_all.append(w2)
         ws_all.append((V2.T @ v) ** 2)
     return N, np.concatenate(xs_all), np.concatenate(ws_all)
 
@@ -201,11 +209,7 @@ def run_expected_conv(cfg: ExperimentConfig, jobs: int | None = None) -> Experim
         parts = _pmap(fn, tasks, njobs)
         xs = np.concatenate([p[1] for p in parts])
         ws = np.concatenate([p[2] for p in parts]) / R
-        zero = xs < 1e-10
-        xs = np.concatenate(([0.0], xs[~zero]))
-        ws = np.concatenate(([ws[zero].sum()], ws[~zero]))
-        F = WeightedStepCDF.from_jumps(xs, ws)
-        dist = kolmogorov(F, law.cdf)
+        dist = kolmogorov(vesd_from_spectrum(xs, ws), law.cdf)
         means[N] = dist
         records.append((cfg.family, N, -1, cfg.seed, "ks_mean_cdf", dist))
         records.append((cfg.family, N, -1, cfg.seed, "repetitions", float(R)))
@@ -222,7 +226,7 @@ def run_expected_conv(cfg: ExperimentConfig, jobs: int | None = None) -> Experim
 # signal_detect: coordinate VESD profile against the null MP reference
 # ---------------------------------------------------------------------------
 
-class _F1cReference:
+class F1cReference:
     """Limit ESD of Q1: d * F2c + (1 - d) * 1_[0,inf) as a callable CDF."""
 
     def __init__(self, law: SolvedLaw):
@@ -246,7 +250,7 @@ def _signal_detect_rep(rep, M, N, k, amp_range, root_seed):
     X = sample_signal_model(
         A, N, s_law=EntryLaw("rademacher"), z_law=EntryLaw("gaussian"),
         seed=(root_seed, _family_tag("signal_detect", "data"), M, rep))
-    w1, V1 = np.linalg.eigh(X @ X.T)
+    w1, V1 = gram_eigh(X, "q1")
     return rep, derived, w1, V1, positions, amps
 
 
@@ -259,7 +263,7 @@ def run_signal_detect(cfg: ExperimentConfig, jobs: int | None = None) -> Experim
     amp_range = tuple(params.get("amp_range", (0.4, 0.8)))
     reps = cfg.trials
     law = solve_law(PopulationSpectrum.identity(), N / M)
-    ref = _F1cReference(law)
+    ref = F1cReference(law)
     fn = partial(_signal_detect_rep, M=M, N=N, k=k, amp_range=amp_range,
                  root_seed=cfg.seed)
     outs = _pmap(fn, list(range(reps)), resolve_jobs(jobs))
@@ -306,9 +310,9 @@ def _separable_rep(rep, M, N, a, block, pattern, root_seed):
     rng, derived = substream(root_seed, _family_tag("separable"), M, rep)
     sigma1, diag_A, levels = _separable_sigma1(M, a, block, pattern, rng)
     sigma2 = np.concatenate([np.ones(N // 2), 4.0 * np.ones(N - N // 2)])
-    X = EntryLaw("gaussian").sample(rng, (M, N)) / math.sqrt(N)
-    Y = sample_separable(sigma1, sigma2, X)
-    w1, V1 = np.linalg.eigh(Y @ Y.T)
+    Y = sample_separable(sigma1, sigma2,
+                         sample_Y(rng, M, N, EntryLaw("gaussian")))
+    w1, V1 = gram_eigh(Y, "q1")
     profile = coordinate_profile(w1, V1, reference=None)
     return rep, derived, profile, diag_A, levels
 
@@ -386,12 +390,11 @@ def spiked_test_vectors(M: int) -> list[np.ndarray]:
 
 def _spiked_rep(rep, M, N, inner, sigma_diag, root_seed):
     vecs = spiked_test_vectors(M)
-    root = np.sqrt(sigma_diag)[:, None]
     parts = [[] for _ in vecs]
     rng, derived = substream(root_seed, _family_tag("spiked_vesd"), M, rep)
     for it in range(inner):
-        X = EntryLaw("gaussian").sample(rng, (M, N)) / math.sqrt(N)
-        w1, V1 = np.linalg.eigh(root * X @ (root * X).T)
+        Y = sample_Y(rng, M, N, EntryLaw("gaussian"), sigma_diag)
+        w1, V1 = gram_eigh(Y, "q1")
         for iv, v in enumerate(vecs):
             weights = (V1.T @ v) ** 2
             parts[iv].append(WeightedStepCDF.from_jumps(np.maximum(w1, 0.0),
@@ -463,7 +466,7 @@ def run_locallaw(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentRe
     seeds = []
     for t in range(cfg.trials):
         rng, derived = substream(cfg.seed, _family_tag("locallaw"), N, t)
-        X_list.append(cfg.entry_law.sample(rng, (M, N)) / math.sqrt(N))
+        X_list.append(sample_Y(rng, M, N, cfg.entry_law))
         seeds.append(derived)
     rows = local_law_residuals(X_list, sig, law, z_list,
                                rng=np.random.default_rng(cfg.seed))
@@ -476,10 +479,10 @@ def run_locallaw(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentRe
                             extras=dict(rows=rows, z_list=z_list))
 
 
-def _rigidity_trial(trial, N, M, root_seed):
+def _rigidity_trial(trial, N, M, sigma_diag, entry_law: EntryLaw, root_seed):
     rng, derived = substream(root_seed, _family_tag("rigidity"), N, trial)
-    X = EntryLaw("gaussian").sample(rng, (M, N)) / math.sqrt(N)
-    lam = np.linalg.eigvalsh(X @ X.T)[::-1]
+    Y = sample_Y(rng, M, N, entry_law, sigma_diag)
+    lam = gram_eigh(Y, "q1", vectors=False)[::-1]
     return trial, derived, np.maximum(lam, 0.0)
 
 
@@ -490,7 +493,9 @@ def run_rigidity(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentRe
     law = solve_law(cfg.population_spectrum(), cfg.d)
     gammas = law.classical_locations(N, M)
     K = len(gammas)
-    fn = partial(_rigidity_trial, N=N, M=M, root_seed=cfg.seed)
+    fn = partial(_rigidity_trial, N=N, M=M,
+                 sigma_diag=sigma_diag_from_spectrum(cfg.spectrum, M),
+                 entry_law=cfg.entry_law, root_seed=cfg.seed)
     outs = _pmap(fn, list(range(cfg.trials)), resolve_jobs(jobs))
     records = []
     maxima = []
@@ -504,16 +509,19 @@ def run_rigidity(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentRe
                             extras=dict(maxima=maxima, gammas=gammas))
 
 
-_RUNNERS = {
-    "conv_rate": run_conv_rate,
-    "expected_conv": run_expected_conv,
-    "signal_detect": run_signal_detect,
-    "separable": run_separable,
-    "spiked_vesd": run_spiked_vesd,
-    "locallaw": run_locallaw,
-    "rigidity": run_rigidity,
+#: each family's runner and the ``params`` keys it reads
+_FAMILIES = {
+    "conv_rate": (run_conv_rate, ()),
+    "expected_conv": (run_expected_conv, ()),
+    "signal_detect": (run_signal_detect, ("M", "N", "k", "amp_range")),
+    "separable": (run_separable, ("M", "N", "a", "block", "pattern")),
+    "spiked_vesd": (run_spiked_vesd, ("M", "N", "inner_reps", "spike_fraction",
+                                      "spike_sigma", "E_star", "slope_window")),
+    "locallaw": (run_locallaw, ("N", "omega", "E", "etas")),
+    "rigidity": (run_rigidity, ("N",)),
 }
+FAMILIES = tuple(_FAMILIES)
 
 
 def run(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:
-    return _RUNNERS[cfg.family](cfg, jobs=jobs)
+    return _FAMILIES[cfg.family][0](cfg, jobs=jobs)

@@ -91,13 +91,19 @@ class WeightedStepCDF:
         return cls.from_jumps(xs, ws)
 
 
-def vesd_curve(dec, v, side: str = "q1", zero_tol: float = 1e-10) -> WeightedStepCDF:
-    """VESD of Q1 or Q2 from a decomposition, for a unit test vector.
+def vesd_from_spectrum(lambdas, weights,
+                       zero_tol: float = 1e-10) -> WeightedStepCDF:
+    """Step CDF with jumps ``weights`` at ``lambdas``, those below zero_tol
+    lumped into one jump at zero (the law's zero atom, not 1e-16 jitter)."""
+    zero = lambdas < zero_tol
+    xs = np.concatenate(([0.0], lambdas[~zero]))
+    ws = np.concatenate(([weights[zero].sum()], weights[~zero]))
+    return WeightedStepCDF.from_jumps(xs, ws)
 
-    Jumps sit at the eigenvalues with weights |<eigvec, v>|^2; eigenvalues
-    below zero_tol are aggregated into a single jump at zero so the kernel
-    mass matches the law's zero atom instead of scattering at 1e-16 jitter.
-    """
+
+def vesd_curve(dec, v, side: str = "q1", zero_tol: float = 1e-10) -> WeightedStepCDF:
+    """VESD of Q1 or Q2 from a decomposition, for a unit test vector:
+    weights |<eigvec, v>|^2 at the eigenvalues."""
     if side == "q1":
         lambdas, basis = dec.lambdas_q1, dec.basis_q1
     elif side == "q2":
@@ -113,10 +119,7 @@ def vesd_curve(dec, v, side: str = "q1", zero_tol: float = 1e-10) -> WeightedSte
     if abs(nrm - 1.0) > 1e-10:
         raise NotNormalized(f"test vector norm {nrm} is not 1 within 1e-10")
     weights = np.abs(basis.conj().T @ v) ** 2
-    zero = lambdas < zero_tol
-    xs = np.concatenate(([0.0], lambdas[~zero]))
-    ws = np.concatenate(([weights[zero].sum()], weights[~zero]))
-    return WeightedStepCDF.from_jumps(xs, ws)
+    return vesd_from_spectrum(lambdas, weights, zero_tol)
 
 
 def _check_normalized(F: WeightedStepCDF):

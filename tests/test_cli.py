@@ -79,6 +79,16 @@ class TestConfig:
         assert loaded.seed == 7
         assert loaded.family == "conv_rate"
 
+    def test_unknown_params_listed_with_other_errors(self, tmp_path):
+        path = _write(tmp_path, "params.json", {
+            "family": "spiked_vesd", "trials": 0,
+            "params": {"n": 50, "bogus": 1}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        msg = str(err.value)
+        for word in ("trials", "'n'", "'bogus'"):
+            assert word in msg
+
     def test_parse_rejects_non_object(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
@@ -143,6 +153,14 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "input error:" in proc.stderr
         assert "exceeds continuous mass" in proc.stderr
+        assert not os.path.exists(out)
+
+    def test_unknown_params_exit_code(self, tmp_path):
+        path = _write(tmp_path, "params.json", {
+            "family": "spiked_vesd", "params": {"n": 50, "bogus": 1}})
+        out = str(tmp_path / "never.csv")
+        assert main(["exp", "spiked_vesd", "--config", path,
+                     "--out", out]) == 2
         assert not os.path.exists(out)
 
     def test_family_mismatch_rejected(self, tiny_exp_config, tmp_path):
@@ -231,3 +249,11 @@ class TestCli:
     def test_repo_configs_parse(self):
         for name in os.listdir(CONFIG_DIR):
             load_config(os.path.join(CONFIG_DIR, name))
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_repo_config_loads_and_roundtrips(name, tmp_path):
+    obj, _ = load_config(os.path.join(CONFIG_DIR, name))
+    path = str(tmp_path / name)
+    save_config(obj, path)
+    assert load_config(path)[0] == obj

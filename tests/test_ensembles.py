@@ -5,13 +5,16 @@ import pytest
 
 from mpvesd.ensembles import (
     BadSpec,
+    DecompositionFailure,
     EntryLaw,
     SigmaSpec,
     build_sigma,
     decompose,
+    gram_eigh,
     sample_separable,
     sample_signal_model,
     sample_X,
+    sample_Y,
     signal_plant,
     truncate_entries,
 )
@@ -166,6 +169,54 @@ class TestDecompose:
         Y = np.sqrt(sig)[:, None] * X
         want = np.sort(np.linalg.eigvalsh(Y.T @ Y))[::-1]
         assert np.allclose(dec.lambdas_q2, want, atol=1e-10)
+
+
+class TestTrialKernel:
+    M, N = 12, 20
+    SIGMA = np.concatenate([np.full(6, 4.0), np.ones(6)])
+
+    def _Y(self, seed=6):
+        return sample_Y(np.random.default_rng(seed), self.M, self.N,
+                        EntryLaw("gaussian"), self.SIGMA)
+
+    @pytest.mark.parametrize("side", ["q1", "q2"])
+    def test_matches_decompose(self, side):
+        dec = decompose(sample_X(self.M, self.N, EntryLaw("gaussian"), 6),
+                        self.SIGMA)
+        want_lam, want_basis = ((dec.lambdas_q1, dec.basis_q1) if side == "q1"
+                                else (dec.lambdas_q2, dec.basis_q2))
+        lam, basis = gram_eigh(self._Y(), side)
+        assert np.all(np.diff(lam) >= 0)
+        v = np.random.default_rng(2).standard_normal(len(lam))
+        v /= np.linalg.norm(v)
+        weights = (basis.T @ v) ** 2
+        np.testing.assert_allclose(lam[::-1], want_lam, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights[::-1], (want_basis.T @ v) ** 2,
+                                   rtol=0, atol=1e-12)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("side", ["q1", "q2"])
+    def test_eigenvalues_only(self, side):
+        Y = self._Y()
+        lam = gram_eigh(Y, side, vectors=False)
+        np.testing.assert_allclose(lam, gram_eigh(Y, side)[0], rtol=0,
+                                   atol=1e-12)
+
+    def test_sampler_scales_rows(self):
+        X = sample_Y(np.random.default_rng(6), self.M, self.N,
+                     EntryLaw("gaussian"))
+        assert np.array_equal(self._Y(), np.sqrt(self.SIGMA)[:, None] * X)
+
+    def test_bad_side(self):
+        with pytest.raises(ValueError):
+            gram_eigh(self._Y(), "q3")
+
+    def test_solver_failure_typed(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(DecompositionFailure):
+            gram_eigh(self._Y(), "q1")
 
 
 class TestSeparable:

@@ -4,6 +4,7 @@ from scipy.stats import ks_2samp, spearmanr
 
 from mpvesd.ensembles import EntryLaw
 from mpvesd.experiments import (
+    ConfigError,
     ExperimentConfig,
     dims_for,
     resolve_jobs,
@@ -53,6 +54,35 @@ class TestPlumbing:
             ExperimentConfig(family="conv_rate", schedule=(100, 50))
         with pytest.raises(ValueError):
             ExperimentConfig(family="conv_rate", trials=0)
+
+    def test_unknown_params_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(family="spiked_vesd",
+                             params={"n": 50, "bogus": 1})
+        assert "'n'" in str(err.value) and "'bogus'" in str(err.value)
+
+
+#: every family at a size that runs in well under a second
+TINY_CONFIGS = [
+    ExperimentConfig(family="conv_rate", schedule=(24, 40), trials=2, seed=61),
+    ExperimentConfig(family="expected_conv", schedule=(24, 40),
+                     repetition_cap=6, seed=62),
+    ExperimentConfig(family="signal_detect", trials=2, seed=63,
+                     params={"M": 60, "k": 3}),
+    ExperimentConfig(family="separable", trials=2, seed=64,
+                     params={"M": 60, "N": 120, "block": 20}),
+    ExperimentConfig(family="spiked_vesd", trials=2, seed=65,
+                     params={"M": 60, "inner_reps": 2}),
+    ExperimentConfig(family="locallaw", d=2.0, trials=2, seed=66,
+                     params={"N": 40, "etas": [0.3]}),
+    ExperimentConfig(family="rigidity", d=2.0, trials=3, seed=67,
+                     params={"N": 40}),
+]
+
+
+@pytest.mark.parametrize("cfg", TINY_CONFIGS, ids=lambda c: c.family)
+def test_worker_count_invariance(cfg):
+    assert run(cfg, jobs=1).records == run(cfg, jobs=2).records
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +257,23 @@ class TestLabFamilies:
         res = run_rigidity(cfg, jobs=1)
         meds = [r[5] for r in res.records if r[4] == "median_max_scaled_dev"]
         assert len(meds) == 1 and meds[0] > 0
+
+    @staticmethod
+    def _rigidity(spectrum=((1.0, 1.0),), kind="gaussian"):
+        cfg = ExperimentConfig(family="rigidity", d=2.0, trials=8, seed=51,
+                               spectrum=spectrum, entry_law=EntryLaw(kind),
+                               params={"N": 120})
+        return run_rigidity(cfg, jobs=1)
+
+    def test_rigidity_samples_configured_spectrum(self):
+        # Sigma = 4 I scales both the sample and the law by 4
+        base = self._rigidity().extras["maxima"]
+        scaled = self._rigidity(((4.0, 1.0),)).extras["maxima"]
+        np.testing.assert_allclose(scaled, 4.0 * np.array(base), rtol=1e-6)
+
+    def test_rigidity_samples_configured_entry_law(self):
+        assert self._rigidity(kind="rademacher").records \
+            != self._rigidity().records
 
     def test_locallaw_records(self):
         cfg = ExperimentConfig(family="locallaw", d=2.0, trials=2, seed=52,
