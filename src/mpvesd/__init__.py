@@ -2,10 +2,10 @@
 
 __version__ = "0.1.0"
 
+from mpvesd.errors import InputError, MpvesdError, NumericalError
 from mpvesd.law import (
     HalfPlanePoint,
     LawVector,
-    NonConvergence,
     PopulationSpectrum,
     SolvedLaw,
     SolverOptions,
@@ -17,8 +17,10 @@ from mpvesd.law import (
 
 __all__ = [
     "HalfPlanePoint",
+    "InputError",
     "LawVector",
-    "NonConvergence",
+    "MpvesdError",
+    "NumericalError",
     "PopulationSpectrum",
     "SolvedLaw",
     "SolverOptions",

@@ -3,6 +3,14 @@
 Outputs are written atomically (temp file + rename) so failed runs leave no
 partial files; every run logs the config hash, root seed, and package
 version, and prints a one-line summary to stdout.
+
+Exit codes:
+    0  success: the output file is written
+    1  ``NumericalError``: a solver failed on valid input
+    2  ``InputError``: a bad option, config field, config file or output
+       path; argparse also exits 2 on a usage error
+An ``InputError`` or ``NumericalError`` prints one line to stderr and
+writes no output file.
 """
 
 from __future__ import annotations
@@ -19,12 +27,12 @@ import numpy as np
 
 import mpvesd
 from mpvesd import experiments as exps
-from mpvesd.config import ConfigError, LawSpec, config_hash, load_config
+from mpvesd.config import LawSpec, config_hash, load_config
 from mpvesd.ensembles import ENTRY_KINDS, EntryLaw, gram_eigh, sample_X, \
     sample_Y
+from mpvesd.errors import InputError, NumericalError
 from mpvesd.experiments import ExperimentConfig, sigma_diag_from_spectrum
-from mpvesd.law import NonConvergence, QuantileOutOfRange, solve_law, \
-    solve_m2c
+from mpvesd.law import solve_law, solve_m2c
 from mpvesd.resolvent import verify_resolvent_identities
 from mpvesd.vesd import kolmogorov, vesd_from_spectrum
 
@@ -32,11 +40,13 @@ log = logging.getLogger("mpvesd")
 
 
 def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str = "%.12g"):
-    """Atomic CSV write: temp file in the target directory, then rename."""
+    """Atomic CSV write: temp file in the target directory, then rename.
+    A path that cannot be written is an input error."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
@@ -48,10 +58,11 @@ def _write_rows(path: str, header: tuple[str, ...], rows, fmt: str = "%.12g"):
                         cells.append(str(c))
                 fh.write(",".join(cells) + "\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise InputError(f"out: cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return len(rows)
 
 
@@ -71,7 +82,11 @@ def _cmd_law(args) -> int:
     t0 = time.monotonic()
     spectrum, d, notes = _law_from_config(args)
     if args.law_cmd == "solve":
-        Es = [float(x) for x in args.E.split(",")]
+        try:
+            Es = [float(x) for x in args.E.split(",")]
+        except ValueError:
+            raise InputError(f"--E: expected a comma list of numbers, "
+                             f"got {args.E!r}") from None
         rows = []
         for E in Es:
             m = solve_m2c(spectrum, d, complex(E, args.eta))
@@ -81,6 +96,8 @@ def _cmd_law(args) -> int:
         return 0
     law = solve_law(spectrum, d)
     if args.law_cmd == "density":
+        if args.n < 1:
+            raise InputError(f"--n: must be >= 1, got {args.n}")
         lo = args.emin if args.emin is not None else 0.9 * law.edges[0][0]
         hi = args.emax if args.emax is not None else 1.05 * law.top_edge
         grid = np.linspace(lo, hi, args.n)
@@ -97,15 +114,13 @@ def _cmd_law(args) -> int:
         gammas = law.classical_locations(N, M)
         rows = [(j + 1, g) for j, g in enumerate(gammas.tolist())]
         n = _write_rows(args.out, ("j", "gamma"), rows)
-    elif args.law_cmd == "regularity":
+    else:  # regularity
         rep = law.edge_regularity(args.tau)
         rows = [(e.edge, int(e.location_ok), e.separation, int(e.separation_ok),
                  e.stability_margin, int(e.stability_ok)) for e in rep.edges]
         n = _write_rows(args.out, ("edge", "location_ok", "separation",
                                    "separation_ok", "stability_margin",
                                    "stability_ok"), rows)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown law subcommand {args.law_cmd!r}")
     _summary(n, args.out, t0, notes)
     return 0
 
@@ -115,14 +130,14 @@ def _test_vector(spec: str, dim: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(dim)
         return v / np.linalg.norm(v)
-    if spec.startswith("e"):
+    if spec.startswith("e") and spec[1:].isdigit():
         idx = int(spec[1:])
-        if not 0 <= idx < dim:
-            raise ConfigError(f"vector: coordinate {idx} out of range for dim {dim}")
+        if idx >= dim:
+            raise InputError(f"vector: coordinate {idx} out of range for dim {dim}")
         v = np.zeros(dim)
         v[idx] = 1.0
         return v
-    raise ConfigError(f"vector: expected 'random' or 'e<i>', got {spec!r}")
+    raise InputError(f"vector: expected 'random' or 'e<i>', got {spec!r}")
 
 
 def _sampled_spectrum(args, spectrum, d, vectors=True):
@@ -177,10 +192,10 @@ def _cmd_exp(args) -> int:
     t0 = time.monotonic()
     obj, notes = load_config(args.config)
     if isinstance(obj, LawSpec):
-        raise ConfigError("family: experiment config requires a family key")
+        raise InputError("family: experiment config requires a family key")
     cfg = obj
     if args.family != cfg.family:
-        raise ConfigError(
+        raise InputError(
             f"family: config says {cfg.family!r} but command says {args.family!r}")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -309,20 +324,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = 0
-    if getattr(args, "config", None):
-        log.info("config=%s hash=%s seed=%s version=%s", args.config,
-                 config_hash(args.config), args.seed, mpvesd.__version__)
-    else:
-        log.info("seed=%s version=%s", args.seed, mpvesd.__version__)
     try:
+        if getattr(args, "config", None):
+            log.info("config=%s hash=%s seed=%s version=%s", args.config,
+                     config_hash(args.config), args.seed, mpvesd.__version__)
+        else:
+            log.info("seed=%s version=%s", args.seed, mpvesd.__version__)
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except QuantileOutOfRange as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, FloatingPointError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return 1
 

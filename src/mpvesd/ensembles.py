@@ -16,14 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-
-class BadSpec(ValueError):
-    """Covariance block specification inconsistent with the dimension."""
-
-
-class DecompositionFailure(RuntimeError):
-    """Underlying eigensolver failed."""
-
+from mpvesd.errors import InputError, NumericalError
 
 ENTRY_KINDS = ("gaussian", "rademacher", "pareto_symmetric")
 
@@ -38,7 +31,7 @@ def _pareto_params(a: float) -> tuple[float, float]:
     1/2 and c so the core holds the other 1/2.
     """
     if a <= 2:
-        raise ValueError(f"pareto tail index must exceed 2, got {a}")
+        raise InputError(f"pareto tail index must exceed 2, got {a}")
     t = (2.0 * a / (a - 2.0)) ** (1.0 / (a - 2.0))
     tail_mass = t ** (-a)
     c = math.sqrt(1.5 / (1.0 - tail_mass))
@@ -54,7 +47,10 @@ class EntryLaw:
 
     def __post_init__(self):
         if self.kind not in ENTRY_KINDS:
-            raise ValueError(f"kind must be one of {ENTRY_KINDS}, got {self.kind!r}")
+            raise InputError(f"kind must be one of {ENTRY_KINDS}, got {self.kind!r}")
+        if self.kind == "pareto_symmetric" and not self.pareto_a > 2:
+            raise InputError(
+                f"pareto tail index a must exceed 2, got {self.pareto_a}")
 
     @property
     def tail_start(self) -> float:
@@ -77,86 +73,32 @@ class EntryLaw:
 
 def sample_X(M: int, N: int, law: EntryLaw, seed) -> np.ndarray:
     """M x N matrix of i.i.d. entries from ``law`` scaled by N^{-1/2}."""
-    if M < 1 or N < 1:
-        raise ValueError("dimensions must be >= 1")
     return sample_Y(np.random.default_rng(seed), M, N, law)
 
 
-def truncate_entries(X: np.ndarray, phi: float):
-    """Zero all entries with |x| > N^{-phi}; returns (matrix, count zeroed)."""
-    if not 0.0 < phi < 0.5:
-        raise ValueError(f"phi must lie in (0, 1/2), got {phi}")
-    N = X.shape[1]
-    cutoff = N ** (-phi)
-    mask = np.abs(X) > cutoff
-    out = np.where(mask, 0.0, X)
-    return out, int(mask.sum())
-
-
-@dataclass(frozen=True)
-class SigmaSpec:
-    """Population covariance as diagonal blocks, optionally rotated."""
-
-    blocks: tuple[tuple[float, int], ...]
-    rotate_seed: int | None = None
-
-    def __post_init__(self):
-        if any(s <= 0 for s, _ in self.blocks):
-            raise ValueError("all sigma values must be positive")
-        if any(c < 1 for _, c in self.blocks):
-            raise ValueError("all block counts must be >= 1")
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.blocks)
-
-
-def build_sigma(spec: SigmaSpec, M: int):
-    """Diagonal (descending) and optional orthogonal factor from a seeded QR."""
-    if spec.total != M:
-        raise BadSpec(f"block counts sum to {spec.total}, expected M={M}")
-    diag = np.concatenate([np.full(c, s) for s, c in spec.blocks])
-    diag = np.sort(diag)[::-1]
-    U = None
-    if spec.rotate_seed is not None:
-        rng = np.random.default_rng(spec.rotate_seed)
-        A = rng.standard_normal((M, M))
-        Q, R = np.linalg.qr(A)
-        U = Q * np.sign(np.diag(R))
-    return diag, U
-
-
 def _sqrt_factor(sigma, M: int) -> np.ndarray | None:
-    """Sigma^{1/2} action: None (identity), 1-d diag, or dense PSD matrix."""
+    """Sigma^{1/2} of a diagonal Sigma given as its length-M diagonal;
+    None is the identity."""
     if sigma is None:
         return None
     sigma = np.asarray(sigma)
-    if sigma.ndim == 1:
-        if sigma.shape[0] != M:
-            raise BadSpec(f"diagonal length {sigma.shape[0]} != M={M}")
-        return np.sqrt(sigma)
-    if sigma.shape != (M, M):
-        raise BadSpec(f"covariance shape {sigma.shape} != ({M}, {M})")
-    w, V = np.linalg.eigh(sigma)
-    if np.any(w < -1e-12):
-        raise BadSpec("covariance matrix is not positive semidefinite")
-    return (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
+    if sigma.shape != (M,):
+        raise InputError(f"covariance diagonal shape {sigma.shape} != ({M},)")
+    return np.sqrt(sigma)
 
 
 def apply_sqrt_sigma(X: np.ndarray, sigma) -> np.ndarray:
-    """Y = Sigma^{1/2} X for identity/diagonal/full sigma."""
+    """Y = Sigma^{1/2} X for identity (None) or diagonal sigma."""
     root = _sqrt_factor(sigma, X.shape[0])
-    if root is None:
-        return X
-    if root.ndim == 1:
-        return root[:, None] * X
-    return root @ X
+    return X if root is None else root[:, None] * X
 
 
 def sample_Y(rng: np.random.Generator, M: int, N: int, entry_law: EntryLaw,
              sigma_diag: np.ndarray | None = None) -> np.ndarray:
     """Y = Sigma^{1/2} X, X = entry_law.sample(rng, (M, N)) / sqrt(N), scaled in
     place (freeing X mid-trial costs fresh pages); None is Sigma = I."""
+    if M < 1 or N < 1:
+        raise InputError(f"dimensions must be >= 1, got M={M}, N={N}")
     Y = entry_law.sample(rng, (M, N)) / math.sqrt(N)
     if sigma_diag is not None:
         Y *= np.sqrt(sigma_diag)[:, None]
@@ -168,12 +110,12 @@ def gram_eigh(Y: np.ndarray, side: str, vectors: bool = True):
     its eigenvalues (``eigvalsh``) when ``vectors`` is False.  ``np.linalg.eigh``
     is looked up per call, where the bench tracer (bench/spans.py) patches it."""
     if side not in ("q1", "q2"):
-        raise ValueError(f"side must be 'q1' or 'q2', got {side!r}")
+        raise InputError(f"side must be 'q1' or 'q2', got {side!r}")
     Q = Y @ Y.conj().T if side == "q1" else Y.conj().T @ Y
     try:
         return np.linalg.eigh(Q) if vectors else np.linalg.eigvalsh(Q)
     except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(str(exc)) from exc
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +136,6 @@ class EnsembleDecomposition:
     def N(self) -> int:
         return self.basis_q2.shape[0]
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        """Shared nonzero spectrum: the top min(M, N) eigenvalues."""
-        K = min(self.M, self.N)
-        return self.lambdas_q1[:K]
-
 
 def decompose(X: np.ndarray, sigma=None, seed: int | None = None) -> EnsembleDecomposition:
     """Full symmetric eigendecompositions of Q1 and Q2, kernels included."""
@@ -215,11 +151,7 @@ def sample_separable(sigma1, sigma2, X: np.ndarray) -> np.ndarray:
     """Y = Sigma_1^{1/2} X Sigma_2^{1/2} (spatial times temporal shaping)."""
     Y = apply_sqrt_sigma(X, sigma1)
     root2 = _sqrt_factor(sigma2, X.shape[1])
-    if root2 is None:
-        return Y
-    if root2.ndim == 1:
-        return Y * root2[None, :]
-    return Y @ root2
+    return Y if root2 is None else Y * root2[None, :]
 
 
 def sample_signal_model(A: np.ndarray, N: int, s_law: EntryLaw, z_law: EntryLaw,

@@ -7,7 +7,19 @@ canonically sorted before writing.
 
 Trials run the kernel of ``mpvesd.ensembles``, ``sample_Y`` then
 ``gram_eigh`` on the smaller Gram side (signal_detect and separable build
-their own Y; locallaw only samples).  Unknown ``params`` keys are rejected.
+their own Y; locallaw only samples).
+
+Each family reads these top-level config fields; ``config.parse_config``
+rejects any other, and any ``params`` key the family does not read:
+
+    family          schedule d spectrum entry_law trials repetition_cap seed params
+    conv_rate       x        x x        x         x                     x
+    expected_conv   x        x x        x                x              x
+    signal_detect                                 x                     x    x
+    separable                                     x                     x    x
+    spiked_vesd                                   x                     x    x
+    locallaw        x        x x        x         x                     x    x
+    rigidity        x        x x        x         x                     x    x
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ import numpy as np
 
 from mpvesd.ensembles import EntryLaw, gram_eigh, sample_separable, \
     sample_signal_model, sample_Y, signal_plant
+from mpvesd.errors import InputError
 from mpvesd.law import PopulationSpectrum, SolvedLaw, solve_law
 from mpvesd.resolvent import local_law_residuals, rigidity_report
 from mpvesd.vesd import RatePoint, WeightedStepCDF, coordinate_profile, \
@@ -33,13 +46,9 @@ from mpvesd.vesd import RatePoint, WeightedStepCDF, coordinate_profile, \
 RECORD_HEADER = ("family", "N", "trial", "seed", "statistic", "value")
 
 
-class ConfigError(ValueError):
-    """Invalid config; the message lists every offending key."""
-
-
 def params_error(family: str, params: dict) -> str | None:
     """Message naming every ``params`` key the family does not read."""
-    keys = _FAMILIES[family][1]
+    keys = _FAMILIES[family][2]
     unknown = sorted(set(params) - set(keys))
     if unknown:
         return (f"params: unknown keys {unknown} for family {family!r}, "
@@ -57,18 +66,17 @@ class ExperimentConfig:
     trials: int = 10
     repetition_cap: int = 2000
     seed: int = 0
-    out: str | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; one of {FAMILIES}")
+            raise InputError(f"unknown family {self.family!r}; one of {FAMILIES}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InputError("trials must be >= 1")
         if list(self.schedule) != sorted(self.schedule):
-            raise ValueError("schedule must be ascending")
+            raise InputError("schedule must be ascending")
         if msg := params_error(self.family, self.params):
-            raise ConfigError(msg)
+            raise InputError(msg)
 
     def population_spectrum(self) -> PopulationSpectrum:
         return PopulationSpectrum(atoms=self.spectrum)
@@ -111,6 +119,8 @@ def substream(root_seed: int, *key: int):
 def sigma_diag_from_spectrum(spectrum: Sequence[tuple[float, float]],
                              M: int) -> np.ndarray:
     """Descending diagonal realizing atom weights as counts (largest remainder)."""
+    if M < 1:
+        raise InputError(f"dimension M must be >= 1, got {M}")
     pairs = sorted(((float(s), float(w)) for s, w in spectrum), key=lambda p: -p[0])
     raw = [w * M for _, w in pairs]
     counts = [int(math.floor(r)) for r in raw]
@@ -301,7 +311,7 @@ def _separable_sigma1(M, a, block, pattern, rng):
     elif pattern == "random_levels":
         levels = rng.uniform(-1.0, 1.0, size=n_blocks)
     else:
-        raise ValueError(f"unknown separable pattern {pattern!r}")
+        raise InputError(f"unknown separable pattern {pattern!r}")
     diag_A = np.repeat(levels, block)[:M]
     return (1.0 + a * diag_A) ** 2, diag_A, levels
 
@@ -453,6 +463,8 @@ def run_spiked_vesd(cfg: ExperimentConfig, jobs: int | None = None) -> Experimen
 def run_locallaw(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:
     params = cfg.params
     N = int(params.get("N", cfg.schedule[-1] if cfg.schedule else 400))
+    if N < 1:
+        raise InputError(f"N must be >= 1, got {N}")
     M = dims_for(N, cfg.d)
     omega = float(params.get("omega", 0.1))
     law = solve_law(cfg.population_spectrum(), cfg.d)
@@ -509,18 +521,31 @@ def run_rigidity(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentRe
                             extras=dict(maxima=maxima, gammas=gammas))
 
 
-#: each family's runner and the ``params`` keys it reads
+_MODEL = ("schedule", "d", "spectrum", "entry_law")
+
+#: each family's runner, the top-level config fields it reads and the
+#: ``params`` keys it reads
 _FAMILIES = {
-    "conv_rate": (run_conv_rate, ()),
-    "expected_conv": (run_expected_conv, ()),
-    "signal_detect": (run_signal_detect, ("M", "N", "k", "amp_range")),
-    "separable": (run_separable, ("M", "N", "a", "block", "pattern")),
-    "spiked_vesd": (run_spiked_vesd, ("M", "N", "inner_reps", "spike_fraction",
-                                      "spike_sigma", "E_star", "slope_window")),
-    "locallaw": (run_locallaw, ("N", "omega", "E", "etas")),
-    "rigidity": (run_rigidity, ("N",)),
+    "conv_rate": (run_conv_rate, _MODEL + ("trials", "seed"), ()),
+    "expected_conv": (run_expected_conv,
+                      _MODEL + ("repetition_cap", "seed"), ()),
+    "signal_detect": (run_signal_detect, ("trials", "seed", "params"),
+                      ("M", "N", "k", "amp_range")),
+    "separable": (run_separable, ("trials", "seed", "params"),
+                  ("M", "N", "a", "block", "pattern")),
+    "spiked_vesd": (run_spiked_vesd, ("trials", "seed", "params"),
+                    ("M", "N", "inner_reps", "spike_fraction", "spike_sigma",
+                     "E_star", "slope_window")),
+    "locallaw": (run_locallaw, _MODEL + ("trials", "seed", "params"),
+                 ("N", "omega", "E", "etas")),
+    "rigidity": (run_rigidity, _MODEL + ("trials", "seed", "params"), ("N",)),
 }
 FAMILIES = tuple(_FAMILIES)
+
+
+def family_fields(family: str) -> tuple[str, ...]:
+    """The top-level config fields ``family`` reads, besides ``family``."""
+    return _FAMILIES[family][1]
 
 
 def run(cfg: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:

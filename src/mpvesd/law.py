@@ -22,23 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
-
-class NonConvergence(RuntimeError):
-    """A solver failed to reach the residual tolerance."""
-
-
-class QuantileOutOfRange(ValueError):
-    """Requested quantile level falls outside the continuous mass."""
-
-
-class DenominatorNearZero(ValueError):
-    """Direction-density denominator is too close to zero to evaluate."""
+from mpvesd.errors import InputError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -50,7 +40,7 @@ class HalfPlanePoint:
 
     def __post_init__(self):
         if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+            raise InputError(f"eta must be positive, got {self.eta}")
 
     @property
     def z(self) -> complex:
@@ -91,22 +81,22 @@ class PopulationSpectrum:
                              key=lambda a: -a[0]))
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
-            raise ValueError("spectrum needs at least one atom")
+            raise InputError("spectrum needs at least one atom")
         if not 0 < self.tau < 1:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+            raise InputError(f"tau must be in (0, 1), got {self.tau}")
         if any(s <= 0 for s, _ in atoms):
-            raise ValueError("all sigma must be positive")
+            raise InputError("all sigma must be positive")
         if any(w <= 0 for _, w in atoms):
-            raise ValueError("all weights must be positive")
+            raise InputError("all weights must be positive")
         total = math.fsum(w for _, w in atoms)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total!r}, must be 1 within 1e-12")
+            raise InputError(f"weights sum to {total!r}, must be 1 within 1e-12")
         if atoms[0][0] > 1.0 / self.tau:
-            raise ValueError(
+            raise InputError(
                 f"sigma_max={atoms[0][0]} exceeds 1/tau={1.0 / self.tau}")
         low_mass = math.fsum(w for s, w in atoms if s <= self.tau)
         if low_mass > 1.0 - self.tau:
-            raise ValueError(
+            raise InputError(
                 f"mass {low_mass} at sigma <= tau exceeds 1 - tau")
 
     @cached_property
@@ -125,11 +115,6 @@ class PopulationSpectrum:
     def identity(cls, tau: float = 0.01) -> "PopulationSpectrum":
         return cls(atoms=((1.0, 1.0),), tau=tau)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]],
-                   tau: float = 0.01) -> "PopulationSpectrum":
-        return cls(atoms=tuple(pairs), tau=tau)
-
 
 @dataclass(frozen=True)
 class LawVector:
@@ -144,17 +129,17 @@ class LawVector:
 
     def __post_init__(self):
         if len(self.atom_indices) != len(self.amplitudes):
-            raise ValueError("atom_indices and amplitudes length mismatch")
+            raise InputError("atom_indices and amplitudes length mismatch")
         total = math.fsum(abs(a) ** 2 for a in self.amplitudes)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"squared amplitudes sum to {total!r}, not 1")
+            raise InputError(f"squared amplitudes sum to {total!r}, not 1")
 
     def atom_weights(self, n_atoms: int) -> np.ndarray:
         """Squared mass per atom, as a dense vector of length n_atoms."""
         w = np.zeros(n_atoms)
         for idx, amp in zip(self.atom_indices, self.amplitudes):
             if not 0 <= idx < n_atoms:
-                raise ValueError(f"atom index {idx} out of range")
+                raise InputError(f"atom index {idx} out of range")
             w[idx] += abs(amp) ** 2
         return w
 
@@ -253,7 +238,7 @@ def _solve_ladder(spectrum, d, E, eta: float, opts: SolverOptions):
         tol = opts.tol * max(1.0, float(np.max(np.abs(z))))
         if np.any(res > tol):
             bad = int(np.sum(res > tol))
-            raise NonConvergence(
+            raise NumericalError(
                 f"{bad} grid points above tol={tol} at eta={rung} "
                 f"(max residual {res.max():.3e})")
     return m
@@ -264,7 +249,7 @@ def solve_m2c(spectrum: PopulationSpectrum, d: float, z,
     """Stieltjes transform of the deformed MP law at one half-plane point."""
     zc = _as_z(z)
     if not zc.imag > 0:
-        raise ValueError(f"z must lie in the upper half plane, got {zc}")
+        raise InputError(f"z must lie in the upper half plane, got {zc}")
     m = _solve_ladder(spectrum, d, np.array([zc.real]), zc.imag, opts)
     return complex(m[0])
 
@@ -292,7 +277,7 @@ def _components(spectrum: PopulationSpectrum, d: float):
     they bound a gap.  No polynomial is formed: the cost is linear in atoms.
     """
     if d <= 0:
-        raise ValueError(f"aspect ratio d must be positive, got {d}")
+        raise InputError(f"aspect ratio d must be positive, got {d}")
     s, idx = np.unique(spectrum.sigmas, return_inverse=True)
     w = np.bincount(idx, weights=spectrum.weights)
     ws2 = w * s * s
@@ -326,7 +311,7 @@ def _components(spectrum: PopulationSpectrum, d: float):
     highs.sort()
     ends = [v for pair in zip(lows, highs) for v, _ in pair]
     if any(b <= a for a, b in zip(ends, ends[1:])):
-        raise NonConvergence(f"support edges do not alternate: {ends}")
+        raise NumericalError(f"support edges do not alternate: {ends}")
     return [(lo, ul, hi, uh) for (lo, ul), (hi, uh) in zip(lows, highs)]
 
 
@@ -348,7 +333,7 @@ def _newton_real_axis(spectrum, d, E, u, opts: SolverOptions):
     heading for the conjugate root heads for the admissible one.  Since
     Im z(u) = Im u (H(u) - 1) with H(u) = (1/d) sum_t w_t s_t^2 / |u + s_t|^2,
     a non-real root has H = 1, while a real root inside the support has
-    H = z'(u) + 1 > 1.  Raises NonConvergence where the residual
+    H = z'(u) + 1 > 1.  Raises NumericalError where the residual
     |z(u) - E| misses opts.tol times the size of its terms, or where H
     misses 1, which flags Newton settling on a real root: a wrong branch.
     """
@@ -379,7 +364,7 @@ def _newton_real_axis(spectrum, d, E, u, opts: SolverOptions):
     bad = ((res > opts.tol * size) | ~(u.imag < 0)
            | (np.abs(balance - 1.0) > 1e-6))
     if bad.any():
-        raise NonConvergence(
+        raise NumericalError(
             f"{int(bad.sum())} of {E.size} real-axis points failed at eta=0 "
             f"(max residual {res.max():.3e}, "
             f"max |H - 1| {np.abs(balance - 1.0).max():.3e})")
@@ -408,9 +393,12 @@ def _density(E, u, sigmas=None, wsq=None):
 
 
 def _rho(spectrum, d, E, edges, opts: SolverOptions, wsq=None):
-    """``_density`` at E (scalar or array) on the real axis; 0 off the support."""
+    """``_density`` at E (scalar or array) on the real axis; 0 off the support
+    and inf at the hard edge E = 0 of d = 1, where u = 1/m = 0."""
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
     u = _real_axis_u(spectrum, d, E_arr, edges, opts)
+    if d == 1.0:
+        u[E_arr == 0.0] = 0.0
     rho = np.where(np.isnan(u), 0.0, _density(E_arr, u, spectrum.sigmas, wsq))
     return float(rho[0]) if np.ndim(E) == 0 else rho
 
@@ -553,7 +541,8 @@ class SolvedLaw:
         return solve_m2c(self.spectrum, self.d, zc, self.solver_opts)
 
     def density(self, E):
-        """Continuous density Im m(E + i0) / pi, 0 off the support."""
+        """Continuous density Im m(E + i0) / pi, 0 off the support and inf
+        at a hard edge (E = 0, d = 1)."""
         return _rho(self.spectrum, self.d, E, self.edges, self.solver_opts)
 
     def cdf(self, x):
@@ -563,7 +552,7 @@ class SolvedLaw:
     def quantile(self, q: float, tol: float = 1e-10) -> float:
         """Smallest x with F(x) >= q, by bisection on the cached CDF."""
         if q < -1e-12 or q > self.total_mass + 1e-9:
-            raise QuantileOutOfRange(f"level {q} outside [0, {self.total_mass}]")
+            raise InputError(f"level {q} outside [0, {self.total_mass}]")
         if q <= self.zero_atom:
             return 0.0
         lo, hi = 0.0, self.top_edge
@@ -585,11 +574,14 @@ class SolvedLaw:
         """
         if M is None:
             M = int(round(N / self.d))
+        if N < 1 or M < 1:
+            raise InputError(
+                f"classical locations need N, M >= 1, got N={N}, M={M}")
         K = min(M, N)
         j = np.arange(1, K + 1)
         levels = 1.0 - (j - 0.5) / N
         if np.any(levels < self.zero_atom - 1e-12):
-            raise QuantileOutOfRange(
+            raise InputError(
                 f"(j-1/2)/N up to {(K - 0.5) / N} exceeds continuous mass "
                 f"{self.continuous_mass}")
         lo = np.full(K, self.edges[0][0])
@@ -630,27 +622,9 @@ class SolvedLaw:
         return RegularityReport(tau=tau, edges=tuple(reports),
                                 bulk_density_minima=tuple(minima))
 
-    def spiked_density(self, sigma_i: float, E: float) -> float:
-        """Density of the law seen from a population direction with value sigma_i."""
-        if sigma_i <= 0:
-            raise ValueError("sigma_i must be positive")
-        u = _real_axis_u(self.spectrum, self.d, np.array([float(E)]),
-                         self.edges, self.solver_opts)[0]
-        if np.isnan(u):
-            return 0.0
-        m = 1.0 / u
-        denom = 1.0 / sigma_i + 2.0 * m.real + abs(m) ** 2 * sigma_i
-        if abs(denom) < 1e-10:
-            raise DenominatorNearZero(
-                f"direction denominator {denom:.3e} at E={E}, sigma={sigma_i}")
-        return m.imag / np.pi / (E * denom)
-
     def direction(self, u: LawVector) -> "DirectionalLaw":
         """Direction-resolved law F(u) for a unit vector in the Sigma eigenbasis."""
         return DirectionalLaw._build(self, u)
-
-    def vector_cdf(self, u: LawVector, x) -> float:
-        return self.direction(u).cdf(x)
 
 
 @dataclass(frozen=True)

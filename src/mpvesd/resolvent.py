@@ -19,15 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from mpvesd.ensembles import apply_sqrt_sigma
+from mpvesd.errors import InputError, NumericalError
 from mpvesd.law import SolvedLaw
-
-
-class SingularSystem(RuntimeError):
-    """Block system not invertible (only possible at eta = 0)."""
-
-
-class LengthMismatch(ValueError):
-    """Eigenvalue and classical-location arrays differ in length."""
 
 
 def block_system(Y: np.ndarray, z: complex) -> np.ndarray:
@@ -63,10 +56,6 @@ class LinearizedResolvent:
     def top_right(self) -> np.ndarray:
         return self.G[:self.M, self.M:]
 
-    @property
-    def bottom_left(self) -> np.ndarray:
-        return self.G[self.M:, :self.M]
-
     def m2(self) -> complex:
         """Stieltjes transform of the Q2 ESD: N^{-1} tr (Q2 - z)^{-1}."""
         return complex(np.trace(self.g2)) / self.N
@@ -76,14 +65,14 @@ def build_resolvent(X: np.ndarray, sigma, z) -> LinearizedResolvent:
     """Solve B(z) G = I by dense LU, exercising the linearization directly."""
     zc = complex(z)
     if not zc.imag > 0:
-        raise ValueError(f"z must lie in the upper half plane, got {zc}")
+        raise InputError(f"z must lie in the upper half plane, got {zc}")
     Y = apply_sqrt_sigma(np.asarray(X, dtype=float), sigma)
     M, N = Y.shape
     B = block_system(Y, zc)
     try:
         G = np.linalg.solve(B, np.eye(M + N, dtype=complex))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+        raise NumericalError(f"block system is singular: {exc}") from exc
     return LinearizedResolvent(z=zc, G=G, M=M, N=N)
 
 
@@ -309,7 +298,7 @@ def rigidity_report(lambdas: np.ndarray, gammas: np.ndarray, N: int):
     lambdas = np.asarray(lambdas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     if lambdas.shape != gammas.shape:
-        raise LengthMismatch(
+        raise InputError(
             f"lambdas {lambdas.shape} vs gammas {gammas.shape}")
     K = len(lambdas)
     j = np.arange(1, K + 1)

@@ -13,17 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-
-class DimensionMismatch(ValueError):
-    """Test vector length does not match the requested side."""
-
-
-class NotNormalized(ValueError):
-    """Distribution total mass is not one."""
-
-
-class InsufficientData(ValueError):
-    """Too few distinct sample sizes for a rate fit."""
+from mpvesd.errors import InputError
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +29,9 @@ class WeightedStepCDF:
         xs = np.asarray(xs, dtype=float)
         ws = np.asarray(ws, dtype=float)
         if xs.shape != ws.shape or xs.ndim != 1:
-            raise ValueError("jump locations and weights must be 1-d and equal length")
+            raise InputError("jump locations and weights must be 1-d and equal length")
         if np.any(ws < -1e-15):
-            raise ValueError("negative jump weight")
+            raise InputError("negative jump weight")
         order = np.argsort(xs, kind="stable")
         xs = xs[order]
         ws = np.maximum(ws[order], 0.0)
@@ -75,17 +65,11 @@ class WeightedStepCDF:
             return float(out)
         return out
 
-    def scale(self, c: float) -> "WeightedStepCDF":
-        """Push forward under x -> c*x for c > 0."""
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return WeightedStepCDF.from_jumps(self.xs * c, self.ws)
-
     @classmethod
     def average(cls, parts: Sequence["WeightedStepCDF"]) -> "WeightedStepCDF":
         """Equal-weight mixture (pointwise average of the CDFs)."""
         if not parts:
-            raise ValueError("nothing to average")
+            raise InputError("nothing to average")
         xs = np.concatenate([p.xs for p in parts])
         ws = np.concatenate([p.ws for p in parts]) / len(parts)
         return cls.from_jumps(xs, ws)
@@ -109,22 +93,22 @@ def vesd_curve(dec, v, side: str = "q1", zero_tol: float = 1e-10) -> WeightedSte
     elif side == "q2":
         lambdas, basis = dec.lambdas_q2, dec.basis_q2
     else:
-        raise ValueError(f"side must be 'q1' or 'q2', got {side!r}")
+        raise InputError(f"side must be 'q1' or 'q2', got {side!r}")
     v = np.asarray(v)
     if v.shape != (basis.shape[0],):
-        raise DimensionMismatch(
+        raise InputError(
             f"vector length {v.shape} does not match side {side} dimension "
             f"{basis.shape[0]}")
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > 1e-10:
-        raise NotNormalized(f"test vector norm {nrm} is not 1 within 1e-10")
+        raise InputError(f"test vector norm {nrm} is not 1 within 1e-10")
     weights = np.abs(basis.conj().T @ v) ** 2
     return vesd_from_spectrum(lambdas, weights, zero_tol)
 
 
 def _check_normalized(F: WeightedStepCDF):
     if abs(F.total - 1.0) > 1e-8:
-        raise NotNormalized(f"total mass {F.total} is not 1 within 1e-8")
+        raise InputError(f"total mass {F.total} is not 1 within 1e-8")
 
 
 def kolmogorov(F: WeightedStepCDF, G) -> float:
@@ -160,9 +144,9 @@ class RatePoint:
 
     def __post_init__(self):
         if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+            raise InputError(f"N must be >= 2, got {self.N}")
         if not 0.0 < self.value <= 1.0:
-            raise ValueError(f"value must be in (0, 1], got {self.value}")
+            raise InputError(f"value must be in (0, 1], got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -178,13 +162,13 @@ def loglog_fit(points: Sequence[RatePoint], mode: str = "mean",
 
     mode='upper_envelope' first keeps only the largest value inside each of
     ``bins`` log-spaced N-bins, then regresses on those envelope points.
-    Fits on fewer than ``min_distinct`` distinct N raise InsufficientData;
+    Fits on fewer than ``min_distinct`` distinct N raise InputError;
     callers fitting short schedules may relax the floor (never below 2).
     """
     ns = np.array([p.N for p in points], dtype=float)
     vals = np.array([p.value for p in points], dtype=float)
     if len(set(ns)) < max(2, min_distinct):
-        raise InsufficientData(
+        raise InputError(
             f"need >= {max(2, min_distinct)} distinct N, got {len(set(ns))}")
     if mode == "upper_envelope":
         edges = np.geomspace(ns.min(), ns.max(), bins + 1)
@@ -199,7 +183,7 @@ def loglog_fit(points: Sequence[RatePoint], mode: str = "mean",
                 keep_v.append(vals[i])
         ns, vals = np.array(keep_n), np.array(keep_v)
     elif mode != "mean":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     lx, ly = np.log(ns), np.log(vals)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))

@@ -6,11 +6,21 @@ import sys
 import numpy as np
 import pytest
 
+from mpvesd import cli
 from mpvesd.cli import main
-from mpvesd.config import ConfigError, load_config, parse_config, save_config
+from mpvesd.config import load_config, parse_config, save_config
+from mpvesd.errors import InputError, NumericalError
 from mpvesd.experiments import ExperimentConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC_DIR] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "mpvesd.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def _write(tmp_path, name, payload):
@@ -49,7 +59,7 @@ class TestConfig:
     def test_bad_weights_named(self, tmp_path):
         path = _write(tmp_path, "bad.json", {
             "spectrum": [{"sigma": 1.0, "weight": 0.99}], "d": 0.5})
-        with pytest.raises(ConfigError, match="spectrum"):
+        with pytest.raises(InputError, match="spectrum"):
             load_config(path)
 
     def test_missing_trials_defaulted_with_note(self, tmp_path):
@@ -62,7 +72,7 @@ class TestConfig:
     def test_all_errors_reported_at_once(self, tmp_path):
         path = _write(tmp_path, "multi.json", {
             "family": "nope", "schedule": [30, 10], "trials": 0, "d": -1})
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError, match="family: must be one of") as err:
             load_config(path)
         msg = str(err.value)
         for key in ("family", "schedule", "trials", "d"):
@@ -83,14 +93,48 @@ class TestConfig:
         path = _write(tmp_path, "params.json", {
             "family": "spiked_vesd", "trials": 0,
             "params": {"n": 50, "bogus": 1}})
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError, match="params: unknown keys") as err:
             load_config(path)
         msg = str(err.value)
         for word in ("trials", "'n'", "'bogus'"):
             assert word in msg
 
+    def test_unread_fields_rejected(self):
+        # spiked_vesd builds its own spectrum and aspect ratio from params
+        with pytest.raises(InputError, match="unknown fields") as err:
+            parse_config({"family": "spiked_vesd", "d": 7,
+                          "spectrum": [{"sigma": 2.0, "weight": 1.0}],
+                          "trials": 0, "params": {"bogus": 1}})
+        msg = str(err.value)
+        for word in ("'d'", "'spectrum'", "trials", "'bogus'"):
+            assert word in msg
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"family": "conv_rate", "repetition_cap": 5}, "'repetition_cap'"),
+        ({"family": "expected_conv", "trials": 5}, "'trials'"),
+        ({"family": "rigidity", "out": "x.csv"}, "'out'"),
+        ({"spectrum": [{"sigma": 1.0, "weight": 1.0}], "d": 2.0,
+          "trials": 5}, "'trials'"),
+    ])
+    def test_each_family_rejects_what_it_does_not_read(self, raw, field):
+        with pytest.raises(InputError, match=f"unknown fields \\[{field}\\]"):
+            parse_config(raw)
+
+    def test_default_notes_name_only_read_fields(self):
+        _, notes = parse_config({"family": "spiked_vesd"})
+        assert notes == ["trials=10"]
+        _, notes = parse_config({"family": "expected_conv"})
+        assert notes == ["spectrum=delta_1", "d=0.5", "entry_law=gaussian"]
+
+    def test_saved_config_holds_only_read_fields(self, tmp_path):
+        path = str(tmp_path / "spiked.json")
+        save_config(ExperimentConfig(family="spiked_vesd", params={"M": 40}),
+                    path)
+        assert set(json.loads(open(path).read())) == {
+            "family", "trials", "seed", "params"}
+
     def test_parse_rejects_non_object(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="must be a JSON object"):
             parse_config([1, 2, 3])
 
 
@@ -142,17 +186,24 @@ class TestCli:
         cfg = _write(tmp_path, "d2.json",
                      {"spectrum": [{"sigma": 1.0, "weight": 1.0}], "d": 2.0})
         out = str(tmp_path / "never.csv")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mpvesd.cli", "law", "gamma", "--config",
-             cfg, "--out", out, "--N", "100", "--M", "200"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_cli("law", "gamma", "--config", cfg, "--out", out,
+                        "--N", "100", "--M", "200")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "input error:" in proc.stderr
         assert "exceeds continuous mass" in proc.stderr
+        assert not os.path.exists(out)
+
+    def test_numerical_failure_exit_code(self, law_config, tmp_path,
+                                         monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericalError("support edges do not alternate")
+        monkeypatch.setattr(cli, "solve_law", fail)
+        out = str(tmp_path / "never.csv")
+        assert main(["law", "edges", "--config", law_config,
+                     "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure in law: support edges" in err
         assert not os.path.exists(out)
 
     def test_unknown_params_exit_code(self, tmp_path):
@@ -176,6 +227,18 @@ class TestCli:
         rows = open(out).read().strip().splitlines()
         assert rows[0] == "E,value"
         assert len(rows) == 51
+
+    def test_law_density_hard_edge_row(self, tmp_path):
+        # delta_1 at d = 1: the default grid starts at the hard edge E = 0,
+        # where the density diverges like E^{-1/2}
+        cfg = _write(tmp_path, "d1.json",
+                     {"spectrum": [{"sigma": 1.0, "weight": 1.0}], "d": 1.0})
+        out = str(tmp_path / "density.csv")
+        assert main(["law", "density", "--config", cfg, "--out", out,
+                     "--n", "5"]) == 0
+        rows = open(out).read().strip().splitlines()
+        assert rows[1] == "0,inf"
+        assert all(0.0 < float(r.split(",")[1]) < 1.0 for r in rows[2:-1])
 
     def test_law_solve_point(self, law_config, tmp_path):
         out = str(tmp_path / "m.csv")
@@ -257,3 +320,49 @@ def test_repo_config_loads_and_roundtrips(name, tmp_path):
     path = str(tmp_path / name)
     save_config(obj, path)
     assert load_config(path)[0] == obj
+
+
+LAW = {"spectrum": [{"sigma": 1.0, "weight": 1.0}], "d": 0.5}
+
+
+#: (command, config: a JSON object, a file name that does not exist or
+#: None, and a phrase the one-line message must hold)
+FAILURE_PROBES = [
+    (["vesd", "--N", "10", "--vector", "ex"], LAW, "vector: expected"),
+    (["law", "solve", "--E", "1.0", "--eta", "0"], LAW, "upper half plane"),
+    (["law", "solve", "--E", "abc"], LAW, "--E: expected"),
+    (["law", "density", "--n", "-1"], LAW, "--n: must be >= 1"),
+    (["law", "gamma", "--N", "0"], LAW, "need N, M >= 1"),
+    (["lab", "identities", "--M", "0"], None, "dimensions must be >= 1"),
+    (["lab", "locallaw", "--N", "0"], LAW, "N must be >= 1"),
+    (["sample", "--N", "0"], LAW, "dimensions must be >= 1"),
+    (["sample", "--N", "5", "--M", "-3"], LAW, "M must be >= 1"),
+    (["exp", "conv_rate"], {
+        "family": "conv_rate", "schedule": [20, 40], "d": 0.5, "trials": 2,
+        "entry_law": {"kind": "pareto_symmetric", "a": 1.5}},
+     "must exceed 2, got 1.5"),
+    (["exp", "spiked_vesd"], {
+        "family": "spiked_vesd", "d": 7, "trials": 1,
+        "spectrum": [{"sigma": 2.0, "weight": 1.0}],
+        "params": {"M": 40, "inner_reps": 1}},
+     "unknown fields ['d', 'spectrum']"),
+    (["law", "edges"], "missing.json", "cannot read"),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", FAILURE_PROBES,
+                         ids=[" ".join(p[0]) for p in FAILURE_PROBES])
+def test_cli_failures_exit_2_with_one_line(argv, config, message, tmp_path):
+    out = str(tmp_path / "never.csv")
+    if isinstance(config, dict):
+        argv = argv + ["--config", _write(tmp_path, "c.json", config)]
+    elif config is not None:
+        argv = argv + ["--config", str(tmp_path / config)]
+    proc = _run_cli(*argv, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    # besides the run's log line, stderr holds one line naming the failure
+    lines = [l for l in proc.stderr.splitlines() if not l.startswith("mpvesd: ")]
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+    assert message in lines[0]
+    assert not os.path.exists(out)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from mpvesd.ensembles import (
-    BadSpec,
-    DecompositionFailure,
     EntryLaw,
-    SigmaSpec,
-    build_sigma,
     decompose,
     gram_eigh,
     sample_separable,
@@ -16,8 +12,8 @@ from mpvesd.ensembles import (
     sample_X,
     sample_Y,
     signal_plant,
-    truncate_entries,
 )
+from mpvesd.errors import InputError, NumericalError
 
 
 class TestEntryLaws:
@@ -47,8 +43,14 @@ class TestEntryLaws:
             assert emp == pytest.approx(s ** -6.0, rel=0.15)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="kind must be one of"):
             EntryLaw("cauchy")
+
+    @pytest.mark.parametrize("a", [2.0, 1.5])
+    def test_pareto_index_at_most_two_rejected(self, a):
+        # the entries would have infinite variance
+        with pytest.raises(InputError, match="must exceed 2"):
+            EntryLaw("pareto_symmetric", a)
 
     def test_rademacher_values(self):
         rng = np.random.default_rng(1)
@@ -73,51 +75,6 @@ class TestSampleX:
         X = sample_X(1000, N, EntryLaw("pareto_symmetric", 6.0), 9)
         scaled = np.mean(np.abs(math.sqrt(N) * X) >= 3.0) * 3.0 ** 6
         assert 0.5 < scaled < 2.0
-
-
-class TestTruncate:
-    def test_small_phi_keeps_bounded_entries(self):
-        X = sample_X(50, 100, EntryLaw("rademacher"), 3)
-        out, count = truncate_entries(X, 0.01)
-        assert count == 0
-        assert np.array_equal(out, X)
-
-    def test_gaussian_phi01_never_truncates_at_N400(self):
-        hits = 0
-        for trial in range(100):
-            X = sample_X(200, 400, EntryLaw("gaussian"), trial)
-            _, count = truncate_entries(X, 0.1)
-            hits += count
-        assert hits == 0
-
-    def test_all_ones_zeroed(self):
-        X = np.ones((5, 8))
-        out, count = truncate_entries(X, 0.4)  # 8^-0.4 < 1
-        assert count == 40
-        assert np.all(out == 0.0)
-
-    def test_phi_range_guard(self):
-        with pytest.raises(ValueError):
-            truncate_entries(np.ones((2, 2)), 0.5)
-
-
-class TestBuildSigma:
-    def test_identity_spec(self):
-        diag, U = build_sigma(SigmaSpec(blocks=((1.0, 8),)), 8)
-        assert np.array_equal(diag, np.ones(8))
-        assert U is None
-
-    def test_half_fours(self):
-        diag, _ = build_sigma(SigmaSpec(blocks=((4.0, 4), (1.0, 4))), 8)
-        assert diag.tolist() == [4.0] * 4 + [1.0] * 4
-
-    def test_rotation_orthogonal(self):
-        diag, U = build_sigma(SigmaSpec(blocks=((1.0, 30),), rotate_seed=5), 30)
-        assert np.max(np.abs(U @ U.T - np.eye(30))) < 1e-10
-
-    def test_count_mismatch(self):
-        with pytest.raises(BadSpec):
-            build_sigma(SigmaSpec(blocks=((1.0, 3),)), 8)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +127,11 @@ class TestDecompose:
         want = np.sort(np.linalg.eigvalsh(Y.T @ Y))[::-1]
         assert np.allclose(dec.lambdas_q2, want, atol=1e-10)
 
+    def test_sigma_must_be_a_diagonal(self):
+        X = sample_X(4, 6, EntryLaw("gaussian"), 3)
+        with pytest.raises(InputError, match="covariance diagonal shape"):
+            decompose(X, np.eye(4))
+
 
 class TestTrialKernel:
     M, N = 12, 20
@@ -207,15 +169,20 @@ class TestTrialKernel:
                      EntryLaw("gaussian"))
         assert np.array_equal(self._Y(), np.sqrt(self.SIGMA)[:, None] * X)
 
+    @pytest.mark.parametrize("M, N", [(0, 5), (5, 0)])
+    def test_empty_dimensions_rejected(self, M, N):
+        with pytest.raises(InputError, match="dimensions must be >= 1"):
+            sample_Y(np.random.default_rng(0), M, N, EntryLaw("gaussian"))
+
     def test_bad_side(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="side must be"):
             gram_eigh(self._Y(), "q3")
 
     def test_solver_failure_typed(self, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(DecompositionFailure):
+        with pytest.raises(NumericalError, match="did not converge"):
             gram_eigh(self._Y(), "q1")
 
 

@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import ks_2samp, spearmanr
 
 from mpvesd.ensembles import EntryLaw
+from mpvesd.errors import InputError
 from mpvesd.experiments import (
-    ConfigError,
     ExperimentConfig,
     dims_for,
     resolve_jobs,
@@ -56,7 +56,7 @@ class TestPlumbing:
             ExperimentConfig(family="conv_rate", trials=0)
 
     def test_unknown_params_rejected(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InputError, match="params: unknown keys") as err:
             ExperimentConfig(family="spiked_vesd",
                              params={"n": 50, "bogus": 1})
         assert "'n'" in str(err.value) and "'bogus'" in str(err.value)

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import SPIKED, TWO_ATOM
+from mpvesd.errors import InputError, NumericalError
 from mpvesd.law import (
-    DenominatorNearZero,
     HalfPlanePoint,
     LawVector,
     PopulationSpectrum,
-    QuantileOutOfRange,
     SolverOptions,
     density_rho2c,
     find_support,
@@ -204,6 +203,16 @@ class TestHardEdge:
                         limit=200)[0]
             assert law.cdf(x) == pytest.approx(want, abs=1e-5)
 
+    def test_density_diverges_at_zero(self):
+        law = solve_law(DELTA1, 1.0)
+        assert law.grid_rho[0] == np.inf
+        assert law.density(0.0) == np.inf
+        assert law.density(np.array([0.0, 1e-6]))[0] == np.inf
+        assert law.direction(LawVector.concentrated(0)).density(0.0) == np.inf
+        # rho(E) ~ 1/(pi sqrt(E)) next to the hard edge
+        assert law.density(1e-8) == pytest.approx(
+            float(mp_density(1e-8, 1.0)), rel=1e-6)
+
 
 class TestCdf:
     def test_negative_x(self, mp_law_d2):
@@ -273,9 +282,14 @@ class TestClassicalLocations:
         assert inside.all()
 
     def test_out_of_range_level(self, mp_law_d2):
-        with pytest.raises(QuantileOutOfRange):
+        with pytest.raises(InputError, match="exceeds continuous mass"):
             # requesting more quantiles than the continuous mass supports
             mp_law_d2.classical_locations(N=4, M=4)
+
+    @pytest.mark.parametrize("N, M", [(0, None), (0, 3), (4, 0)])
+    def test_empty_count_rejected(self, mp_law_d2, N, M):
+        with pytest.raises(InputError, match="need N, M >= 1"):
+            mp_law_d2.classical_locations(N, M)
 
 
 class TestEdgeRegularity:
@@ -349,38 +363,33 @@ class TestDirectionalLaw:
 
 
 class TestSpikedDensity:
+    """Densities seen from a population eigenvector, direction(e_i)."""
+
     def test_identity_with_direction_density(self, two_atom_law_d05):
+        # e_i sees Im m / (pi E (1/s + 2 Re m + |m|^2 s)), s = sigma_i, with
+        # m = m(E + i0) from the off-axis solver
         law = two_atom_law_d05
         E = 10.0
-        for idx, (sigma, _) in enumerate(law.spectrum.atoms):
+        m = solve_m2c(law.spectrum, law.d, complex(E, 1e-8))
+        for idx, (s, _) in enumerate(law.spectrum.atoms):
+            want = m.imag / np.pi / (E * (1.0 / s + 2.0 * m.real
+                                          + abs(m) ** 2 * s))
             dl = law.direction(LawVector.concentrated(idx))
-            assert law.spiked_density(sigma, E) == pytest.approx(
-                dl.density(E), abs=1e-6)
+            assert dl.density(E) == pytest.approx(want, abs=1e-6)
 
     def test_monotone_in_sigma_near_top_edge(self, spiked_law_d2):
+        # atoms are sigma-descending: index 1 is sigma = 1, index 0 sigma = 4
         lo, hi = spiked_law_d2.edges[-1]
         E = hi - 0.1 * (hi - lo)
-        vals = [spiked_law_d2.spiked_density(s, E) for s in (1.0, 2.0, 4.0)]
-        assert vals[0] < vals[1] < vals[2]
+        vals = [spiked_law_d2.direction(LawVector.concentrated(i)).density(E)
+                for i in (1, 0)]
+        assert vals[0] < vals[1]
 
     def test_off_support_is_zero(self, spiked_law_d2):
         (_, hi1), (lo2, _) = spiked_law_d2.edges
         mid_gap = 0.5 * (hi1 + lo2)
-        assert spiked_law_d2.spiked_density(4.0, mid_gap) == pytest.approx(
-            0.0, abs=1e-12)
-
-    def test_denominator_guard(self, mp_law_d2):
-        with pytest.raises(DenominatorNearZero):
-            # force the guard with an artificial near-cancelling m
-            law = mp_law_d2
-            E = 1.0
-            m = law.m2c(E)
-            sigma = -1.0 / (2 * m.real) if m.real != 0 else 1.0
-            # pick sigma so 1/sigma + 2 Re m + |m|^2 sigma ~ 0 if possible
-            disc = 4 * m.real ** 2 - 4 * abs(m) ** 2
-            if disc < 0:
-                pytest.skip("no real sigma cancels the denominator here")
-            law.spiked_density(sigma, E)
+        spike = spiked_law_d2.direction(LawVector.concentrated(0))
+        assert spike.density(mid_gap) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSquareRootEdges:
@@ -402,9 +411,8 @@ class TestSolverOptions:
         assert rho == pytest.approx(float(mp_density(1.0, 2.0)), abs=1e-6)
 
     def test_nonconvergence_raises(self):
-        from mpvesd.law import NonConvergence
         # tolerance below the floating-point floor cannot be met
         opts = SolverOptions(max_iter=1, tol=1e-18)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NumericalError, match="above tol"):
             solve_m2c(PopulationSpectrum(atoms=TWO_ATOM), 0.5,
                       complex(2.0, 1e-6), opts)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mpvesd.ensembles import EntryLaw, decompose, sample_X
+from mpvesd.errors import InputError
 from mpvesd.law import PopulationSpectrum, solve_law
 from mpvesd.resolvent import (
-    LengthMismatch,
     block_system,
     build_resolvent,
     deterministic_limit,
@@ -240,7 +240,7 @@ class TestRigidity:
         assert np.all(dev == 0.0) and mx == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match=r"lambdas \(3,\) vs gammas \(4,\)"):
             rigidity_report(np.ones(3), np.ones(4), 100)
 
     def test_scaling_weights(self):
